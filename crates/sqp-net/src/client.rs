@@ -1,17 +1,20 @@
 //! A blocking wire client with per-connection buffer reuse.
 //!
-//! [`NetClient`] owns one keep-alive TCP connection and two buffers (one
-//! outbound, one inbound) that every request reuses, so a serve loop
-//! driving millions of requests allocates only for the answers it keeps.
+//! [`NetClient`] owns one keep-alive TCP connection, an outbound buffer
+//! and a [`FrameReader`] that every request reuses, so a serve loop
+//! driving millions of requests allocates only for the answers it keeps,
+//! and one request costs one `writev` and (for a reply that fits the
+//! reader's buffer) one `read`.
 //! One client is one connection and is deliberately `!Sync` usage-wise:
 //! the protocol answers in request order, so concurrent callers would
 //! read each other's replies. Open one client per thread instead — that
 //! is also what gives the server's per-connection fairness something to
 //! be fair between.
 
-use crate::frame::{read_frame, write_frame, FrameRead};
+use crate::frame::{write_frame, FrameRead, FrameReader};
 use crate::wire::{self, BatchEntry, Reply, RollSummary, WireError, WireStats};
 use sqp_serve::Suggestion;
+use std::cell::Cell;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -133,15 +136,17 @@ pub struct TrackAck {
 pub struct NetClient {
     stream: TcpStream,
     wbuf: Vec<u8>,
-    rbuf: Vec<u8>,
+    reader: FrameReader,
     max_frame_len: usize,
+    /// The read and write timeout both currently set on `stream`.
+    io_timeout: Cell<Option<Duration>>,
 }
 
 impl NetClient {
     /// Connect with no I/O timeouts (reads block until the server
     /// replies or disconnects).
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Self::from_stream(TcpStream::connect(addr)?)
+        Self::from_stream(TcpStream::connect(addr)?, None)
     }
 
     /// Connect and bound the connect itself *and* every read/write by
@@ -153,25 +158,32 @@ impl NetClient {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        Self::from_stream(stream)
+        Self::from_stream(stream, Some(timeout))
     }
 
-    fn from_stream(stream: TcpStream) -> io::Result<Self> {
+    fn from_stream(stream: TcpStream, io_timeout: Option<Duration>) -> io::Result<Self> {
         stream.set_nodelay(true)?;
         Ok(NetClient {
             stream,
             wbuf: Vec::new(),
-            rbuf: Vec::new(),
+            reader: FrameReader::new(wire::DEFAULT_MAX_FRAME),
             max_frame_len: wire::DEFAULT_MAX_FRAME,
+            io_timeout: Cell::new(io_timeout),
         })
     }
 
     /// Rebound (or clear, with `None`) the read/write timeouts of this
     /// connection — how a pooled connection gets a fresh per-attempt
-    /// deadline without reconnecting.
+    /// deadline without reconnecting. Setting the timeout already in
+    /// force makes no system call.
     pub fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        if self.io_timeout.get() == timeout {
+            return Ok(());
+        }
         self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
+        self.stream.set_write_timeout(timeout)?;
+        self.io_timeout.set(timeout);
+        Ok(())
     }
 
     /// Shut down the write half, telling the server no more requests are
@@ -186,12 +198,11 @@ impl NetClient {
     }
 
     fn recv(&mut self) -> Result<Reply<'_>, NetError> {
-        match read_frame(&mut self.stream, &mut self.rbuf, self.max_frame_len)? {
-            FrameRead::Frame => {}
-            FrameRead::CleanEof => return Err(NetError::Disconnected),
-            FrameRead::Reject(err) => return Err(NetError::Wire(err)),
+        match self.reader.read_frame(&mut self.stream)? {
+            FrameRead::Frame(body) => wire::decode_reply(body).map_err(NetError::Wire),
+            FrameRead::CleanEof => Err(NetError::Disconnected),
+            FrameRead::Reject(err) => Err(NetError::Wire(err)),
         }
-        wire::decode_reply(&self.rbuf).map_err(NetError::Wire)
     }
 
     /// Track `query` for `user` at `now`.
@@ -351,4 +362,37 @@ fn unexpected(reply: &Reply<'_>) -> NetError {
         Reply::Evicted { .. } => wire::op::R_EVICTED,
     };
     NetError::UnexpectedReply { opcode }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn set_io_timeout_changes_both_socket_timeouts_and_skips_repeats() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // Whole multiples of the kernel's timer tick read back exactly.
+        let a = Duration::from_millis(200);
+        let b = Duration::from_secs(2);
+        let client = NetClient::connect_timeout(listener.local_addr().unwrap(), a).unwrap();
+        let both = |c: &NetClient| {
+            (
+                c.stream.read_timeout().unwrap(),
+                c.stream.write_timeout().unwrap(),
+            )
+        };
+        assert_eq!(both(&client), (Some(a), Some(a)));
+
+        for timeout in [Some(b), Some(b), Some(a), None, None, Some(b)] {
+            client.set_io_timeout(timeout).unwrap();
+            assert_eq!(both(&client), (timeout, timeout));
+        }
+
+        // A refused value leaves the cache untouched, so the next call
+        // still reaches the socket.
+        assert!(client.set_io_timeout(Some(Duration::ZERO)).is_err());
+        client.set_io_timeout(Some(a)).unwrap();
+        assert_eq!(both(&client), (Some(a), Some(a)));
+    }
 }

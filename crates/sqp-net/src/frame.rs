@@ -6,63 +6,156 @@
 //! **inside** a frame (torn write / dropped peer), and a length prefix the
 //! receiver refuses (zero or over-limit) — because a server reacts
 //! differently to each: close silently, close silently, or send a typed
-//! `R_ERROR` and then close. The body buffer is caller-owned and reused
-//! across frames, so steady-state reads allocate nothing once the buffer
-//! has grown to the connection's working frame size.
+//! `R_ERROR` and then close.
+//!
+//! [`FrameReader`] owns one buffer per connection and fills it with one
+//! `read` per call, so a request/response exchange costs a single `read`
+//! on each side and a pipelined burst arrives in as few reads as the
+//! kernel allows. Frame bodies are handed out as borrows of that buffer,
+//! which only grows to fit a frame larger than it (never past the prefix
+//! plus the body limit), so steady-state reads allocate nothing.
 
 use crate::wire::{WireError, LEN_PREFIX};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
-/// Outcome of one [`read_frame`] call.
+/// Buffer a fresh [`FrameReader`] starts with: room for hundreds of small
+/// request frames per `read`; only a larger frame grows it.
+const INITIAL_BUFFER: usize = 16 * 1024;
+
+/// Outcome of one [`FrameReader::read_frame`] call.
 #[derive(Debug)]
-pub enum FrameRead {
-    /// A complete frame body now fills the caller's buffer.
-    Frame,
+pub enum FrameRead<'a> {
+    /// A complete frame body, borrowed from the reader's buffer.
+    Frame(&'a [u8]),
     /// The peer closed the stream cleanly at a frame boundary.
     CleanEof,
-    /// The length prefix was unacceptable; **no body bytes were
-    /// consumed**, so the stream is desynchronized and must be closed
-    /// (after optionally sending the typed error).
+    /// The length prefix was unacceptable; the stream is desynchronized
+    /// and must be closed (after optionally sending the typed error).
     Reject(WireError),
 }
 
-/// Read one frame body into `buf` (cleared and resized by this call).
+/// A buffered frame reader for one stream.
 ///
-/// Returns [`FrameRead::CleanEof`] only when the stream ends exactly at a
-/// frame boundary; an EOF mid-prefix or mid-body surfaces as an
-/// [`io::ErrorKind::UnexpectedEof`] error.
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>, max_body: usize) -> io::Result<FrameRead> {
-    let mut prefix = [0u8; LEN_PREFIX];
-    let mut got = 0;
-    while got < LEN_PREFIX {
-        match r.read(&mut prefix[got..])? {
-            0 if got == 0 => return Ok(FrameRead::CleanEof),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame length prefix",
-                ))
-            }
-            n => got += n,
+/// Bytes `buf[start..end]` have been read but not yet handed out; they
+/// are the complete frames a pipelining peer sent ahead, then at most one
+/// partial frame.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    max_body: usize,
+}
+
+impl FrameReader {
+    /// A reader accepting frame bodies up to `max_body` bytes.
+    pub fn new(max_body: usize) -> Self {
+        FrameReader {
+            buf: vec![0; INITIAL_BUFFER.min(max_body.saturating_add(LEN_PREFIX))],
+            start: 0,
+            end: 0,
+            max_body,
         }
     }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len == 0 {
-        return Ok(FrameRead::Reject(WireError::EmptyFrame));
+
+    /// Read one frame, calling `read` on `r` only when the buffer holds
+    /// no complete frame.
+    ///
+    /// Returns [`FrameRead::CleanEof`] only when the stream ends exactly at
+    /// a frame boundary; an EOF mid-prefix or mid-body surfaces as an
+    /// [`io::ErrorKind::UnexpectedEof`] error.
+    pub fn read_frame(&mut self, r: &mut impl Read) -> io::Result<FrameRead<'_>> {
+        loop {
+            match self.parse() {
+                Some(Ok(body)) => return Ok(FrameRead::Frame(&self.buf[body])),
+                Some(Err(err)) => return Ok(FrameRead::Reject(err)),
+                None => {}
+            }
+            if self.fill(r)? == 0 {
+                if self.start == self.end {
+                    return Ok(FrameRead::CleanEof);
+                }
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "eof inside a frame",
+                ));
+            }
+        }
     }
-    if len > max_body {
-        return Ok(FrameRead::Reject(WireError::FrameTooLarge {
-            len: len as u64,
-            max: max_body as u64,
-        }));
+
+    /// The next frame already in the buffer, without any I/O: a body, a
+    /// rejected length prefix, or `None` when the buffered bytes hold no
+    /// complete frame.
+    pub fn next_buffered(&mut self) -> Option<Result<&[u8], WireError>> {
+        self.parse()
+            .map(|parsed| parsed.map(|body| &self.buf[body]))
     }
-    // `len` is bounded by `max_body`, so this resize cannot be driven
-    // past the configured limit by a hostile prefix; once the buffer has
-    // grown to the connection's working size it is a plain truncate.
-    buf.clear();
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
-    Ok(FrameRead::Frame)
+
+    /// One `read` into the buffer's free space, for when
+    /// [`next_buffered`](Self::next_buffered) returned `None`. Returns the
+    /// bytes read; `0` is end of stream.
+    pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        // Only a partial frame is left: move it to the front.
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            // The partial frame fills the buffer, so its prefix is here and
+            // already checked against `max_body` by `parse`.
+            let len = prefix_len(&self.buf);
+            debug_assert!(
+                LEN_PREFIX + len > self.end,
+                "fill with a whole frame buffered"
+            );
+            self.buf.resize(LEN_PREFIX + len, 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Consume the next buffered frame: its body's range, a rejected
+    /// prefix (only the prefix is consumed), or `None` if incomplete.
+    fn parse(&mut self) -> Option<Result<Range<usize>, WireError>> {
+        let buffered = &self.buf[self.start..self.end];
+        if buffered.len() < LEN_PREFIX {
+            return None;
+        }
+        let len = prefix_len(buffered);
+        if len == 0 || len > self.max_body {
+            self.start += LEN_PREFIX;
+            return Some(Err(if len == 0 {
+                WireError::EmptyFrame
+            } else {
+                WireError::FrameTooLarge {
+                    len: len as u64,
+                    max: self.max_body as u64,
+                }
+            }));
+        }
+        if buffered.len() < LEN_PREFIX + len {
+            return None;
+        }
+        let body = self.start + LEN_PREFIX..self.start + LEN_PREFIX + len;
+        self.start = body.end;
+        Some(Ok(body))
+    }
+}
+
+fn prefix_len(bytes: &[u8]) -> usize {
+    let mut prefix = [0u8; LEN_PREFIX];
+    prefix.copy_from_slice(&bytes[..LEN_PREFIX]);
+    u32::from_le_bytes(prefix) as usize
 }
 
 /// Write one frame (`prefix + body`) and flush.
@@ -111,6 +204,28 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// Hands out at most `step` bytes per `read`, like a slow socket.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn expect_frame(reader: &mut FrameReader, r: &mut impl Read) -> Vec<u8> {
+        match reader.read_frame(r).unwrap() {
+            FrameRead::Frame(body) => body.to_vec(),
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
     #[test]
     fn frame_roundtrip_and_boundary_eof() {
         let mut stream = Vec::new();
@@ -118,58 +233,98 @@ mod tests {
         write_frame(&mut stream, b"\x06", 64).unwrap();
 
         let mut r = Cursor::new(stream);
-        let mut buf = Vec::new();
+        let mut reader = FrameReader::new(64);
+        assert_eq!(expect_frame(&mut reader, &mut r), b"\x05hello");
+        assert_eq!(expect_frame(&mut reader, &mut r), b"\x06");
         assert!(matches!(
-            read_frame(&mut r, &mut buf, 64).unwrap(),
-            FrameRead::Frame
-        ));
-        assert_eq!(buf, b"\x05hello");
-        assert!(matches!(
-            read_frame(&mut r, &mut buf, 64).unwrap(),
-            FrameRead::Frame
-        ));
-        assert_eq!(buf, b"\x06");
-        assert!(matches!(
-            read_frame(&mut r, &mut buf, 64).unwrap(),
+            reader.read_frame(&mut r).unwrap(),
             FrameRead::CleanEof
         ));
+    }
+
+    #[test]
+    fn one_read_brings_a_pipelined_burst() {
+        let mut stream = Vec::new();
+        for i in 0..10u8 {
+            write_frame(&mut stream, &[i; 3], 64).unwrap();
+        }
+        let mut r = Cursor::new(stream);
+        let mut reader = FrameReader::new(1024);
+        assert!(reader.next_buffered().is_none());
+        assert_eq!(reader.fill(&mut r).unwrap(), 70);
+        for i in 0..10u8 {
+            assert_eq!(reader.next_buffered().unwrap().unwrap(), &[i; 3]);
+        }
+        assert!(reader.next_buffered().is_none());
+        assert_eq!(reader.start, reader.end, "every byte handed out");
+    }
+
+    #[test]
+    fn frames_split_across_reads_reassemble_and_grow_only_to_the_frame() {
+        let big = vec![7u8; 40_000];
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"\x01ab", 64 * 1024).unwrap();
+        write_frame(&mut stream, &big, 64 * 1024).unwrap();
+        write_frame(&mut stream, b"\x02", 64 * 1024).unwrap();
+
+        for step in [1, 3, 4096, usize::MAX] {
+            let mut r = Trickle {
+                bytes: &stream,
+                step,
+            };
+            let mut reader = FrameReader::new(64 * 1024);
+            assert_eq!(expect_frame(&mut reader, &mut r), b"\x01ab");
+            assert_eq!(expect_frame(&mut reader, &mut r), big);
+            assert_eq!(reader.buf.len(), LEN_PREFIX + big.len(), "step {step}");
+            assert_eq!(expect_frame(&mut reader, &mut r), b"\x02");
+            assert!(matches!(
+                reader.read_frame(&mut r).unwrap(),
+                FrameRead::CleanEof
+            ));
+        }
+    }
+
+    #[test]
+    fn an_unbounded_body_limit_still_reads_frames() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"\x06", usize::MAX).unwrap();
+        let mut reader = FrameReader::new(usize::MAX);
+        assert_eq!(expect_frame(&mut reader, &mut Cursor::new(stream)), b"\x06");
     }
 
     #[test]
     fn torn_frames_are_unexpected_eof() {
         let mut stream = Vec::new();
         write_frame(&mut stream, b"\x05hello", 64).unwrap();
-        let mut buf = Vec::new();
         // Every strict prefix that is not a frame boundary must error.
         for cut in 1..stream.len() {
             let mut r = Cursor::new(&stream[..cut]);
-            let err = read_frame(&mut r, &mut buf, 64).unwrap_err();
+            let err = FrameReader::new(64).read_frame(&mut r).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
     }
 
     #[test]
-    fn zero_and_oversized_prefixes_are_rejected_without_reading_bodies() {
-        let mut buf = Vec::new();
-
+    fn zero_and_oversized_prefixes_are_rejected_without_growing() {
         let mut r = Cursor::new(0u32.to_le_bytes().to_vec());
         assert!(matches!(
-            read_frame(&mut r, &mut buf, 64).unwrap(),
+            FrameReader::new(64).read_frame(&mut r).unwrap(),
             FrameRead::Reject(WireError::EmptyFrame)
         ));
 
         let mut huge = (1_000_000u32).to_le_bytes().to_vec();
         huge.extend_from_slice(&[0u8; 8]);
         let mut r = Cursor::new(huge);
+        let mut reader = FrameReader::new(64);
         assert!(matches!(
-            read_frame(&mut r, &mut buf, 64).unwrap(),
+            reader.read_frame(&mut r).unwrap(),
             FrameRead::Reject(WireError::FrameTooLarge {
                 len: 1_000_000,
                 max: 64
             })
         ));
-        // The reject consumed only the prefix.
-        assert_eq!(r.position(), 4);
+        // The buffer never exceeds the prefix plus the body limit.
+        assert_eq!(reader.buf.len(), LEN_PREFIX + 64);
 
         // And the writer refuses to emit what a reader would refuse.
         let mut sink = Vec::new();

@@ -9,10 +9,11 @@
 //! workspace.
 //!
 //! * [`NetServer`] — accept loops on a public serve port and a separate
-//!   admin port, per-connection reader threads that do framing only, and
-//!   a shared worker pool executing engine calls. Connections are
-//!   keep-alive; each has a bounded request queue that load-sheds with a
-//!   typed `R_OVERLOADED` reply instead of stalling intake.
+//!   admin port, and one run-to-completion thread per keep-alive
+//!   connection that reads its frames, runs them on the surface and
+//!   writes each reply in request order. Frames a pipelining client sends
+//!   past the connection's queue depth are shed with a typed
+//!   `R_OVERLOADED` reply instead of stalling intake.
 //! * [`NetClient`] — a blocking keep-alive client reusing its buffers
 //!   across requests.
 //! * [`RemoteEngine`] — a resilient [`ServeSurface`](sqp_serve::ServeSurface)

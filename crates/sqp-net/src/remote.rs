@@ -36,7 +36,9 @@
 //!
 //! Connections are pooled per endpoint (warmup at construction, reconnect
 //! on demand, capped checkin), so steady state pays one connect per pooled
-//! slot, not per request.
+//! slot, not per request. Checkout prefers the connection the calling
+//! thread checked in last, so a caller stays paired with one server
+//! connection thread.
 //!
 //! # Live endpoint membership
 //!
@@ -84,6 +86,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 /// One remote endpoint: its public serve port and (optionally) its admin
@@ -292,10 +295,14 @@ struct EndpointCounters {
     other_errors: AtomicU64,
 }
 
+/// Idle pooled connections, each with the thread that last checked it in
+/// (`None` for a warm-up connection nobody has used yet).
+type Pool = Vec<(Option<ThreadId>, NetClient)>;
+
 struct Endpoint {
     serve_addr: SocketAddr,
     admin_addr: Option<SocketAddr>,
-    pool: Mutex<Vec<NetClient>>,
+    pool: Mutex<Pool>,
     breaker: Breaker,
     counters: EndpointCounters,
     /// Operations currently executing against this endpoint (between
@@ -329,7 +336,7 @@ impl Endpoint {
             let mut pool = ep.lock_pool();
             for _ in 0..remote.pool_warmup.min(remote.pool_cap) {
                 match NetClient::connect_timeout(ep.serve_addr, remote.connect_timeout) {
-                    Ok(client) => pool.push(client),
+                    Ok(client) => pool.push((None, client)),
                     Err(_) => break,
                 }
             }
@@ -337,7 +344,7 @@ impl Endpoint {
         ep
     }
 
-    fn lock_pool(&self) -> MutexGuard<'_, Vec<NetClient>> {
+    fn lock_pool(&self) -> MutexGuard<'_, Pool> {
         // A poisoned pool lock only guards plain connections; recover it.
         self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -634,8 +641,18 @@ impl RemoteEngine {
     }
 
     fn checkout(&self, ep: &Endpoint, budget: Duration) -> Result<NetClient, NetError> {
-        if let Some(client) = ep.lock_pool().pop() {
-            return Ok(client);
+        // Prefer the connection this thread checked in last, else the most
+        // recent one. The server serves each connection on its own thread,
+        // so a caller that keeps its connection keeps talking to one server
+        // thread instead of waking a different one (often on another core)
+        // on every call.
+        {
+            let me = thread::current().id();
+            let mut pool = ep.lock_pool();
+            let mine = pool.iter().rposition(|(user, _)| *user == Some(me));
+            if let Some(at) = mine.or(pool.len().checked_sub(1)) {
+                return Ok(pool.remove(at).1);
+            }
         }
         let timeout = self.cfg.connect_timeout.min(budget);
         let client = NetClient::connect_timeout(ep.serve_addr, timeout)?;
@@ -654,7 +671,7 @@ impl RemoteEngine {
             return;
         }
         if pool.len() < self.cfg.pool_cap {
-            pool.push(client);
+            pool.push((Some(thread::current().id()), client));
         }
     }
 
@@ -1147,6 +1164,44 @@ impl AdminSurface for RemoteEngine {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+
+    #[test]
+    fn checkout_prefers_the_connection_this_thread_checked_in() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let engine = RemoteEngine::connect(
+            vec![EndpointConfig::serve_only(listener.local_addr().unwrap())],
+            RemoteConfig {
+                pool_warmup: 0,
+                ..RemoteConfig::default()
+            },
+        );
+        let endpoints = engine.snapshot();
+        let ep = &endpoints[0];
+        let budget = Duration::from_millis(200);
+
+        let mine = engine.checkout(ep, budget).unwrap();
+        let theirs = engine.checkout(ep, budget).unwrap();
+        engine.checkin(ep, mine);
+        let other = thread::scope(|s| {
+            s.spawn(|| {
+                engine.checkin(ep, theirs);
+                thread::current().id()
+            })
+            .join()
+            .unwrap()
+        });
+
+        // The other thread's connection is the most recent, yet this
+        // thread gets its own back.
+        let _mine = engine.checkout(ep, budget).unwrap();
+        let pool = ep.lock_pool();
+        assert_eq!(pool.len(), 1);
+        assert_eq!(
+            pool[0].0,
+            Some(other),
+            "the other thread's connection stays pooled"
+        );
+    }
 
     /// The retire-vs-straggler race, white-box: an operation that loaded
     /// the old endpoint snapshot before the swap but only checked a

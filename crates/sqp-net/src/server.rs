@@ -1,36 +1,33 @@
-//! The TCP serving front-end: accept loops, per-connection readers, and a
-//! shared worker pool over one [`ServeSurface`].
+//! The TCP serving front-end: accept loops and run-to-completion
+//! connection threads over one [`NetSurface`].
 //!
 //! # Topology
 //!
 //! ```text
-//!                    ┌────────────────────────────────────────────┐
-//!   serve port ──►   │ accept loop ─┬─► reader (conn 1) ─┐        │
-//!   admin port ──►   │ accept loop ─┼─► reader (conn 2) ─┤ ready  │
-//!                    │              └─► reader (conn N) ─┤ queue  │
-//!                    │                                   ▼        │
-//!                    │               worker pool ──► ServeSurface │
-//!                    └────────────────────────────────────────────┘
+//!                    ┌──────────────────────────────────────────────┐
+//!   serve port ──►   │ accept loop ─┬─► conn 1 ─┐                    │
+//!   admin port ──►   │ accept loop ─┼─► conn 2 ─┼─► NetSurface       │
+//!                    │              └─► conn N ─┘  (read → decode →  │
+//!                    │                              run → write)     │
+//!                    └──────────────────────────────────────────────┘
 //! ```
 //!
-//! Readers do **framing only** — they never touch the engine — so a slow
-//! model call on one connection cannot stall byte intake on another. Each
-//! complete frame lands in that connection's bounded queue; the connection
-//! itself is the schedulable unit (an atomic `scheduled` flag keeps it on
-//! at most one worker at a time), which makes replies come back in request
-//! order even though many workers serve many connections.
+//! Each connection has one thread that reads its frames, decodes them in
+//! place, runs them on the surface and writes each reply before taking
+//! the next frame, so replies come back in request order with no handoff
+//! between threads. A request/response exchange costs the server one
+//! `read` and one `writev`; a slow model call stalls only the connection
+//! that made it.
 //!
 //! # Overload behavior
 //!
-//! The per-connection queue has a **soft** bound and a **hard** bound:
-//!
-//! * past the soft bound (`queue_depth`), an arriving frame is replaced by
-//!   a pre-marked shed entry — the worker answers it with `R_OVERLOADED`
-//!   in FIFO position without doing engine work, so a pipelining client
-//!   still sees exactly one reply per request, in order;
-//! * past the hard bound (`4 × queue_depth`, all entries counted), the
-//!   reader stops reading the socket until the worker drains — classic
-//!   TCP backpressure — so a hostile pipeliner cannot grow server memory.
+//! A connection's queue is the frames already in its read buffer but not
+//! yet run. Of the frames one `read` brings in, the first `queue_depth`
+//! run; the rest are answered `R_OVERLOADED { limit: 0 }` in FIFO
+//! position without engine work, so a pipelining client still sees
+//! exactly one reply per request, in order. While the thread runs frames
+//! it does not read, so a hostile pipeliner fills the kernel buffers and
+//! meets TCP backpressure instead of growing server memory.
 //!
 //! Engine-level admission control is separate: traffic opcodes use the
 //! surface's `try_*` forms, and a typed [`Overloaded`](sqp_serve::Overloaded)
@@ -38,17 +35,21 @@
 //! in the body). `R_OVERLOADED { limit: 0 }` therefore always means "the
 //! server's own queue shed you", a distinction `NetServerStats` keeps too
 //! (`queue_shed` vs `engine_shed`).
+//!
+//! A request handler that panics takes down only its own connection: the
+//! socket is shut at once (the client sees a disconnect, not a timeout)
+//! and [`NetServer::handler_panics`] counts it.
 
 use crate::admin::AdminSurface;
-use crate::frame::{read_frame, write_frame, FrameRead};
+use crate::frame::{write_frame, FrameReader};
 use crate::wire::{self, Request, WireError, WireStats};
 use sqp_serve::{ServeSurface, SuggestRequest};
-use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::collections::HashMap;
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -68,22 +69,15 @@ pub struct ServerConfig {
     pub addr: SocketAddr,
     /// Address for the admin listener.
     pub admin_addr: SocketAddr,
-    /// Worker threads executing engine calls. `0` means one per
-    /// available core, minimum 2.
-    pub workers: usize,
-    /// Soft bound of each connection's request queue; frames past it are
-    /// answered `R_OVERLOADED` without engine work. The hard bound
-    /// (reader stops reading) is four times this.
+    /// Soft bound of each connection's queue: of the frames one socket
+    /// read brings in, those past this many are answered `R_OVERLOADED`
+    /// without engine work.
     pub queue_depth: usize,
     /// Maximum accepted frame *body* length, both directions.
     pub max_frame_len: usize,
-    /// How many queue entries a worker drains from one connection before
-    /// putting it back and taking the next ready connection (fairness
-    /// under pipelining).
-    pub drain_batch: usize,
     /// Per-write socket timeout. A client that stops reading its replies
     /// eventually times a write out and is disconnected, so it can never
-    /// pin a worker (or wedge shutdown's drain) indefinitely. `None`
+    /// pin its connection thread (or wedge shutdown) indefinitely. `None`
     /// disables the guard.
     pub write_timeout: Option<Duration>,
 }
@@ -93,10 +87,8 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".parse().expect("static addr"),
             admin_addr: "127.0.0.1:0".parse().expect("static addr"),
-            workers: 0,
             queue_depth: 64,
             max_frame_len: wire::DEFAULT_MAX_FRAME,
-            drain_batch: 32,
             write_timeout: Some(Duration::from_secs(5)),
         }
     }
@@ -134,6 +126,7 @@ struct Counters {
     protocol_errors: AtomicU64,
     publishes_ok: AtomicU64,
     publishes_failed: AtomicU64,
+    handler_panics: AtomicU64,
 }
 
 impl Counters {
@@ -155,145 +148,49 @@ impl Counters {
     }
 }
 
-/// One queued unit of work for a connection's worker.
-enum Item {
-    /// A complete frame body, in a buffer borrowed from the pool.
-    Frame(Vec<u8>),
-    /// A request refused at the soft bound; reply `R_OVERLOADED` in FIFO
-    /// position without engine work (the frame bytes were returned to
-    /// the pool at enqueue time).
-    Shed,
-    /// The reader hit an unrecoverable framing problem; reply a typed
-    /// error, then close.
-    Fatal(WireError),
-}
-
-struct ConnQueue {
-    items: VecDeque<Item>,
-    /// Reusable frame-body buffers, swapped between reader and worker so
-    /// the steady state allocates nothing.
-    pool: Vec<Vec<u8>>,
-    /// The reader has exited; once `items` drains the worker closes.
-    read_closed: bool,
-    /// The connection was killed (write error / fatal frame / shutdown);
-    /// everything still queued is dropped.
-    dead: bool,
-}
-
-struct Conn {
-    id: u64,
-    stream: TcpStream,
-    admin: bool,
-    queue: Mutex<ConnQueue>,
-    /// Signaled by the worker after draining (for the reader's hard-bound
-    /// backpressure wait) and by `kill`/shutdown.
-    queue_cv: Condvar,
-    /// True while the connection sits in the ready queue or on a worker.
-    /// Whoever flips it false→true owns enqueueing it — this is what
-    /// keeps a connection on at most one worker (in-order replies).
-    scheduled: AtomicBool,
-}
-
-impl Conn {
-    fn kill(&self) {
-        let mut q = self.queue.lock().expect("conn queue poisoned");
-        q.dead = true;
-        q.items.clear();
-        drop(q);
-        self.queue_cv.notify_all();
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-
-    /// Worker-side close: stop accepting work and FIN the write half,
-    /// but leave the read half to the reader, which drains it to EOF
-    /// before the socket drops. Closing with unread bytes still queued
-    /// would turn the close into a TCP RST, and an RST can destroy an
-    /// already-written reply (e.g. the typed `R_ERROR`) before the
-    /// client reads it.
-    fn close_write(&self) {
-        let mut q = self.queue.lock().expect("conn queue poisoned");
-        q.dead = true;
-        q.items.clear();
-        drop(q);
-        self.queue_cv.notify_all();
-        let _ = self.stream.shutdown(Shutdown::Write);
-    }
-}
-
 struct Shared {
     surface: Arc<dyn NetSurface>,
     queue_depth: usize,
-    hard_cap: usize,
     max_frame_len: usize,
-    drain_batch: usize,
     write_timeout: Option<Duration>,
-    ready: Mutex<VecDeque<Arc<Conn>>>,
-    ready_cv: Condvar,
-    conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    reader_handles: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// Live connections, so shutdown can unblock their reads.
+    conns: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    conn_handles: Mutex<Vec<thread::JoinHandle<()>>>,
     next_id: AtomicU64,
-    /// Stop accepting and reading (phase 1 of shutdown).
+    /// Stop accepting and reading.
     closing: AtomicBool,
-    /// Workers may exit once the ready queue is empty (phase 2).
-    workers_stop: AtomicBool,
     counters: Counters,
 }
 
-impl Shared {
-    fn schedule(&self, conn: &Arc<Conn>) {
-        if !conn.scheduled.swap(true, Ordering::AcqRel) {
-            let mut ready = self.ready.lock().expect("ready queue poisoned");
-            ready.push_back(Arc::clone(conn));
-            drop(ready);
-            self.ready_cv.notify_one();
-        }
-    }
-}
-
-/// A running TCP front-end over a [`ServeSurface`]. Dropping the server
+/// A running TCP front-end over a [`NetSurface`]. Dropping the server
 /// (or calling [`shutdown`](NetServer::shutdown)) stops accepting,
-/// unblocks every reader, lets workers drain all queued replies, and
-/// joins every thread.
+/// lets every connection answer the frames it has read, and joins every
+/// thread.
 pub struct NetServer {
     shared: Arc<Shared>,
     serve_addr: SocketAddr,
     admin_addr: SocketAddr,
     accept_handles: Mutex<Vec<(SocketAddr, thread::JoinHandle<()>)>>,
-    worker_handles: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
 }
 
 impl NetServer {
-    /// Bind both listeners and spawn the accept loops and worker pool.
+    /// Bind both listeners and spawn the accept loops.
     pub fn start<S: NetSurface + 'static>(surface: Arc<S>, cfg: ServerConfig) -> io::Result<Self> {
         let serve_listener = TcpListener::bind(cfg.addr)?;
         let admin_listener = TcpListener::bind(cfg.admin_addr)?;
         let serve_addr = serve_listener.local_addr()?;
         let admin_addr = admin_listener.local_addr()?;
 
-        let workers = if cfg.workers == 0 {
-            thread::available_parallelism()
-                .map_or(2, |n| n.get())
-                .max(2)
-        } else {
-            cfg.workers
-        };
-        let queue_depth = cfg.queue_depth.max(1);
-
         let shared = Arc::new(Shared {
             surface: surface as Arc<dyn NetSurface>,
-            queue_depth,
-            hard_cap: queue_depth.saturating_mul(4),
+            queue_depth: cfg.queue_depth.max(1),
             max_frame_len: cfg.max_frame_len,
-            drain_batch: cfg.drain_batch.max(1),
             write_timeout: cfg.write_timeout,
-            ready: Mutex::new(VecDeque::new()),
-            ready_cv: Condvar::new(),
             conns: Mutex::new(HashMap::new()),
-            reader_handles: Mutex::new(Vec::new()),
+            conn_handles: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
             closing: AtomicBool::new(false),
-            workers_stop: AtomicBool::new(false),
             counters: Counters::default(),
         });
 
@@ -312,22 +209,11 @@ impl NetServer {
             accept_handles.push((addr, handle));
         }
 
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            worker_handles.push(
-                thread::Builder::new()
-                    .name(format!("sqp-net-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
-
         Ok(NetServer {
             shared,
             serve_addr,
             admin_addr,
             accept_handles: Mutex::new(accept_handles),
-            worker_handles: Mutex::new(worker_handles),
             stopped: AtomicBool::new(false),
         })
     }
@@ -347,22 +233,20 @@ impl NetServer {
         self.shared.counters.snapshot()
     }
 
-    /// Connections currently registered (readers still attached).
+    /// Connections currently open (their threads still running).
     pub fn active_connections(&self) -> usize {
         self.shared.conns.lock().expect("conns poisoned").len()
     }
 
-    /// True while no worker thread has died. A worker exiting before
-    /// shutdown means a request handler panicked — the fuzz and soak
-    /// suites poll this so a swallowed panic cannot masquerade as a
-    /// clean run.
-    pub fn workers_alive(&self) -> bool {
-        let handles = self.worker_handles.lock().expect("workers poisoned");
-        handles.iter().all(|h| !h.is_finished())
+    /// How many request handlers have panicked, each taking down only its
+    /// own connection. The fuzz and soak suites assert this stays 0 so a
+    /// swallowed panic cannot masquerade as a clean run.
+    pub fn handler_panics(&self) -> u64 {
+        self.shared.counters.handler_panics.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, drain every queued reply, and join all threads.
-    /// Idempotent; also runs on drop.
+    /// Stop accepting, let every connection answer the frames it has
+    /// read, and join all threads. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         if self.stopped.swap(true, Ordering::AcqRel) {
             return;
@@ -387,46 +271,21 @@ impl NetServer {
             let _ = h.join();
         }
 
-        // Unblock readers mid-`read`; their write halves stay open so the
-        // workers can still flush queued replies (clean drain).
-        let conns: Vec<Arc<Conn>> = {
-            let conns = self.shared.conns.lock().expect("conns poisoned");
-            conns.values().cloned().collect()
-        };
-        for conn in &conns {
-            let _ = conn.stream.shutdown(Shutdown::Read);
-            conn.queue_cv.notify_all();
+        // Unblock connection threads mid-`read`; their write halves stay
+        // open so each can still answer what it has already read.
+        for stream in self.shared.conns.lock().expect("conns poisoned").values() {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        loop {
-            let handles: Vec<_> = {
-                let mut readers = self.shared.reader_handles.lock().expect("readers poisoned");
-                readers.drain(..).collect()
-            };
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-
-        // Every reader has exited (each scheduling its connection one
-        // last time), so the ready queue now holds all remaining work.
-        self.shared.workers_stop.store(true, Ordering::Release);
-        self.shared.ready_cv.notify_all();
-        for h in self
-            .worker_handles
+        let handles: Vec<_> = self
+            .shared
+            .conn_handles
             .lock()
-            .expect("workers poisoned")
+            .expect("conn handles poisoned")
             .drain(..)
-        {
+            .collect();
+        for h in handles {
             let _ = h.join();
         }
-
-        for conn in &conns {
-            conn.kill();
-        }
-        self.shared.conns.lock().expect("conns poisoned").clear();
     }
 }
 
@@ -447,95 +306,128 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, admin: bool) {
         Counters::bump(&shared.counters.accepted);
 
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = Arc::new(Conn {
-            id,
-            stream,
-            admin,
-            queue: Mutex::new(ConnQueue {
-                items: VecDeque::new(),
-                pool: Vec::new(),
-                read_closed: false,
-                dead: false,
-            }),
-            queue_cv: Condvar::new(),
-            scheduled: AtomicBool::new(false),
-        });
+        let stream = Arc::new(stream);
         shared
             .conns
             .lock()
             .expect("conns poisoned")
-            .insert(id, Arc::clone(&conn));
+            .insert(id, Arc::clone(&stream));
 
         let shared2 = Arc::clone(shared);
-        let handle = thread::Builder::new()
-            .name(format!("sqp-net-reader-{id}"))
-            .spawn(move || reader_loop(&shared2, &conn));
-        match handle {
-            Ok(h) => shared
-                .reader_handles
-                .lock()
-                .expect("readers poisoned")
-                .push(h),
+        let spawned = thread::Builder::new()
+            .name(format!("sqp-net-conn-{id}"))
+            .spawn(move || {
+                let _guard = ConnGuard {
+                    shared: &shared2,
+                    stream: &stream,
+                    id,
+                };
+                serve_conn(&shared2, &stream, admin);
+            });
+        let mut handles = shared.conn_handles.lock().expect("conn handles poisoned");
+        // Finished connections need no join (a handler panic was already
+        // counted by its guard); keep the list to live ones.
+        handles.retain(|h| !h.is_finished());
+        match spawned {
+            Ok(h) => handles.push(h),
             Err(_) => {
-                // Could not spawn a reader: drop the connection.
-                let removed = shared.conns.lock().expect("conns poisoned").remove(&id);
-                if let Some(conn) = removed {
-                    conn.kill();
+                // No thread to serve it: drop the connection.
+                if let Some(stream) = shared.conns.lock().expect("conns poisoned").remove(&id) {
+                    let _ = stream.shutdown(Shutdown::Both);
                 }
             }
         }
     }
 }
 
-fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
-    let mut stream = &conn.stream;
-    loop {
+/// Runs when a connection thread ends, normally or by a handler panic:
+/// unregisters the connection, and after a panic counts it and shuts the
+/// socket so the client sees a disconnect at once (by which time both
+/// are already visible to [`NetServer`]'s getters).
+struct ConnGuard<'a> {
+    shared: &'a Shared,
+    stream: &'a TcpStream,
+    id: u64,
+}
+
+impl Drop for ConnGuard<'_> {
+    fn drop(&mut self) {
+        let panicked = thread::panicking();
+        if panicked {
+            Counters::bump(&self.shared.counters.handler_panics);
+        }
+        self.shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.id);
+        if panicked {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// One connection's life: read, run and answer its frames in order.
+fn serve_conn(shared: &Shared, stream: &TcpStream, admin: bool) {
+    let mut reader = FrameReader::new(shared.max_frame_len);
+    // Per-connection scratch, reused across every frame.
+    let mut wbuf: Vec<u8> = Vec::new();
+    let mut batch: Vec<SuggestRequest> = Vec::new();
+    let mut rstream = stream;
+    // True when a reply could not be written (peer gone or not reading).
+    let write_failed = 'conn: loop {
         if shared.closing.load(Ordering::Acquire) {
-            break;
+            break false;
         }
-        let mut buf = {
-            let mut q = conn.queue.lock().expect("conn queue poisoned");
-            q.pool.pop().unwrap_or_default()
-        };
-        match read_frame(&mut stream, &mut buf, shared.max_frame_len) {
-            Ok(FrameRead::Frame) => {
-                Counters::bump(&shared.counters.frames_in);
-                if !enqueue(shared, conn, buf) {
-                    break;
+        // Only reached with no complete frame buffered. EOF (clean or
+        // torn), a reset, or our own shutdown(Read) all end the loop.
+        match reader.fill(&mut rstream) {
+            Ok(0) | Err(_) => break false,
+            Ok(_) => {}
+        }
+        // Everything this read brought in is the queue: past the soft
+        // bound, frames are shed in FIFO position.
+        let mut budget = shared.queue_depth;
+        while let Some(frame) = reader.next_buffered() {
+            wbuf.clear();
+            let fatal = match frame {
+                Ok(body) => {
+                    Counters::bump(&shared.counters.frames_in);
+                    if budget == 0 {
+                        // Limit 0 distinguishes a queue shed from an
+                        // engine-budget shed on the wire.
+                        Counters::bump(&shared.counters.queue_shed);
+                        wire::encode_overloaded(&mut wbuf, 0);
+                        false
+                    } else {
+                        budget -= 1;
+                        run_frame(shared, body, admin, &mut wbuf, &mut batch)
+                    }
                 }
+                Err(err) => {
+                    protocol_error(shared, &mut wbuf, &err);
+                    true
+                }
+            };
+            if !write_reply(shared, stream, &mut wbuf) {
+                break 'conn true;
             }
-            Ok(FrameRead::CleanEof) => break,
-            Ok(FrameRead::Reject(err)) => {
-                // The stream is desynchronized past this prefix; hand the
-                // typed error to the worker (the reply keeps FIFO
-                // position behind anything already queued) and stop
-                // parsing frames.
-                enqueue_item(shared, conn, Item::Fatal(err));
-                break;
+            if fatal {
+                break 'conn false;
             }
-            // Torn frame, reset, or our own shutdown(Read).
-            Err(_) => break,
         }
-    }
+    };
 
-    // Leave the receive queue empty before the socket can drop: a close
-    // with unread inbound bytes becomes a TCP RST, and an RST can wipe
-    // out replies (including a just-written typed error) that the client
-    // has not read yet. Bounded: EOF, error, or a 200ms timeout ends it.
-    drain_until_eof(&conn.stream);
-
-    {
-        let mut q = conn.queue.lock().expect("conn queue poisoned");
-        q.read_closed = true;
+    if write_failed {
+        let _ = stream.shutdown(Shutdown::Both);
+    } else {
+        // FIN after the last reply, then leave the receive queue empty
+        // before the socket drops: a close with unread inbound bytes
+        // becomes a TCP RST, and an RST can wipe out replies (such as a
+        // just-written typed error) the client has not read yet.
+        let _ = stream.shutdown(Shutdown::Write);
+        drain_until_eof(stream);
     }
-    // Schedule one final time so a worker observes `read_closed` and
-    // closes the socket even if nothing is queued.
-    shared.schedule(conn);
-    shared
-        .conns
-        .lock()
-        .expect("conns poisoned")
-        .remove(&conn.id);
 }
 
 /// Discard inbound bytes until EOF or a short deadline, so the socket
@@ -544,7 +436,6 @@ fn drain_until_eof(stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut scrap = [0u8; 4096];
     let mut stream_ref = stream;
-    use std::io::Read;
     for _ in 0..256 {
         match stream_ref.read(&mut scrap) {
             Ok(0) | Err(_) => break,
@@ -553,178 +444,47 @@ fn drain_until_eof(stream: &TcpStream) {
     }
 }
 
-/// Queue a complete frame, applying the soft (shed) and hard
-/// (backpressure) bounds. Returns false when the connection is dead and
-/// the reader should stop.
-fn enqueue(shared: &Arc<Shared>, conn: &Arc<Conn>, buf: Vec<u8>) -> bool {
-    let mut q = conn.queue.lock().expect("conn queue poisoned");
-    while q.items.len() >= shared.hard_cap {
-        if q.dead || shared.closing.load(Ordering::Acquire) {
-            return false;
-        }
-        let (guard, _) = conn
-            .queue_cv
-            .wait_timeout(q, Duration::from_millis(50))
-            .expect("conn queue poisoned");
-        q = guard;
-    }
-    if q.dead {
-        return false;
-    }
-    if q.items.len() >= shared.queue_depth {
-        if q.pool.len() < shared.queue_depth {
-            q.pool.push(buf);
-        }
-        q.items.push_back(Item::Shed);
-        Counters::bump(&shared.counters.queue_shed);
-    } else {
-        q.items.push_back(Item::Frame(buf));
-    }
-    drop(q);
-    shared.schedule(conn);
-    true
+fn protocol_error(shared: &Shared, wbuf: &mut Vec<u8>, err: &WireError) {
+    Counters::bump(&shared.counters.protocol_errors);
+    wire::encode_error(wbuf, err.code(), &err.to_string());
 }
 
-fn enqueue_item(shared: &Arc<Shared>, conn: &Arc<Conn>, item: Item) {
-    let mut q = conn.queue.lock().expect("conn queue poisoned");
-    if q.dead {
-        return;
-    }
-    q.items.push_back(item);
-    drop(q);
-    shared.schedule(conn);
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    // Per-worker scratch, reused across every frame this worker handles.
-    let mut wbuf: Vec<u8> = Vec::new();
-    let mut batch: Vec<SuggestRequest> = Vec::new();
-    loop {
-        let conn = {
-            let mut ready = shared.ready.lock().expect("ready queue poisoned");
-            loop {
-                if let Some(conn) = ready.pop_front() {
-                    break conn;
-                }
-                if shared.workers_stop.load(Ordering::Acquire) {
-                    return;
-                }
-                ready = shared.ready_cv.wait(ready).expect("ready queue poisoned");
-            }
-        };
-        process_conn(shared, &conn, &mut wbuf, &mut batch);
-    }
-}
-
-fn process_conn(
-    shared: &Arc<Shared>,
-    conn: &Arc<Conn>,
-    wbuf: &mut Vec<u8>,
-    batch: &mut Vec<SuggestRequest>,
-) {
-    let mut drained = 0usize;
-    loop {
-        let item = {
-            let mut q = conn.queue.lock().expect("conn queue poisoned");
-            let item = q.items.pop_front();
-            if item.is_some() {
-                // The reader may be parked on the hard bound.
-                conn.queue_cv.notify_one();
-            }
-            item
-        };
-        let Some(item) = item else { break };
-        drained += 1;
-        if !handle_item(shared, conn, item, wbuf, batch) {
-            conn.close_write();
-            conn.scheduled.store(false, Ordering::Release);
-            return;
-        }
-        if drained >= shared.drain_batch {
-            // Fairness: put this connection at the back of the line and
-            // serve someone else. It stays `scheduled` because it is
-            // still in the ready queue.
-            let mut ready = shared.ready.lock().expect("ready queue poisoned");
-            ready.push_back(Arc::clone(conn));
-            drop(ready);
-            shared.ready_cv.notify_one();
-            return;
-        }
-    }
-
-    // Queue drained. If the reader is gone this connection is done:
-    // everything it will ever owe has been written.
-    let finished = {
-        let q = conn.queue.lock().expect("conn queue poisoned");
-        q.read_closed && q.items.is_empty()
-    };
-    if finished {
-        conn.kill();
-    }
-    conn.scheduled.store(false, Ordering::Release);
-    // Re-check: the reader may have enqueued between our final pop and
-    // the flag store; whoever wins the swap inside `schedule` enqueues.
-    let has_work = {
-        let q = conn.queue.lock().expect("conn queue poisoned");
-        !q.items.is_empty() || (q.read_closed && !q.dead)
-    };
-    if has_work {
-        shared.schedule(conn);
-    }
-}
-
-/// Execute one queued item. Returns false when the connection must close
-/// (fatal protocol error or a failed reply write).
-fn handle_item(
-    shared: &Arc<Shared>,
-    conn: &Arc<Conn>,
-    item: Item,
+/// Decode and run one frame body, leaving the reply in `wbuf`. Returns
+/// true when the connection must close after the reply.
+fn run_frame(
+    shared: &Shared,
+    body: &[u8],
+    admin: bool,
     wbuf: &mut Vec<u8>,
     batch: &mut Vec<SuggestRequest>,
 ) -> bool {
-    wbuf.clear();
-    let mut close_after_reply = false;
-    let mut frame_buf = None;
-
-    match item {
-        Item::Shed => {
-            // Shed by our own queue: limit 0 distinguishes it from an
-            // engine-budget shed on the wire.
-            wire::encode_overloaded(wbuf, 0);
-        }
-        Item::Fatal(err) => {
-            Counters::bump(&shared.counters.protocol_errors);
-            wire::encode_error(wbuf, err.code(), &err.to_string());
-            close_after_reply = true;
-        }
-        Item::Frame(buf) => {
-            match wire::decode_request(&buf) {
-                Err(err) => {
-                    Counters::bump(&shared.counters.protocol_errors);
-                    wire::encode_error(wbuf, err.code(), &err.to_string());
-                    close_after_reply = true;
-                }
-                Ok(req) if req.is_admin() && !conn.admin => {
-                    Counters::bump(&shared.counters.protocol_errors);
-                    wire::encode_error(
-                        wbuf,
-                        wire::code::ADMIN_ONLY,
-                        "admin opcodes are only served on the admin port",
-                    );
-                    close_after_reply = true;
-                }
-                Ok(req) => execute(shared, req, wbuf, batch),
-            }
-            frame_buf = Some(buf);
-        }
-    }
-
-    let mut stream = &conn.stream;
-    let write_ok = match write_frame(&mut stream, wbuf, shared.max_frame_len) {
-        Ok(()) => {
-            Counters::bump(&shared.counters.replies_out);
+    match wire::decode_request(body) {
+        Err(err) => {
+            protocol_error(shared, wbuf, &err);
             true
         }
+        Ok(req) if req.is_admin() && !admin => {
+            Counters::bump(&shared.counters.protocol_errors);
+            wire::encode_error(
+                wbuf,
+                wire::code::ADMIN_ONLY,
+                "admin opcodes are only served on the admin port",
+            );
+            true
+        }
+        Ok(req) => {
+            execute(shared, req, wbuf, batch);
+            false
+        }
+    }
+}
+
+/// Write the reply in `wbuf`. Returns false when the connection must
+/// close because the write failed.
+fn write_reply(shared: &Shared, stream: &TcpStream, wbuf: &mut Vec<u8>) -> bool {
+    let mut stream = stream;
+    match write_frame(&mut stream, wbuf, shared.max_frame_len) {
+        Ok(()) => {}
         // The assembled reply exceeded the frame limit (e.g. a huge
         // batch): substitute a typed, guaranteed-small error. Framing is
         // intact, so the connection survives.
@@ -735,37 +495,19 @@ fn handle_item(
                 wire::code::LIMIT_EXCEEDED,
                 "reply exceeds the frame size limit",
             );
-            match write_frame(&mut stream, wbuf, shared.max_frame_len) {
-                Ok(()) => {
-                    Counters::bump(&shared.counters.replies_out);
-                    true
-                }
-                Err(_) => false,
+            if write_frame(&mut stream, wbuf, shared.max_frame_len).is_err() {
+                return false;
             }
         }
-        Err(_) => false,
-    };
-
-    // Return the frame body to the connection's pool (bounded so an idle
-    // connection does not pin more than a queue's worth of buffers).
-    if let Some(buf) = frame_buf {
-        let mut q = conn.queue.lock().expect("conn queue poisoned");
-        if q.pool.len() < shared.queue_depth {
-            q.pool.push(buf);
-        }
+        Err(_) => return false,
     }
-
-    write_ok && !close_after_reply
+    Counters::bump(&shared.counters.replies_out);
+    true
 }
 
 /// Decode-independent request execution: surface calls plus reply
 /// encoding. `wbuf` receives the reply body.
-fn execute(
-    shared: &Arc<Shared>,
-    req: Request<'_>,
-    wbuf: &mut Vec<u8>,
-    batch: &mut Vec<SuggestRequest>,
-) {
+fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Vec<SuggestRequest>) {
     let surface = &*shared.surface;
     match req {
         Request::Track { user, now, query } => {

@@ -1,13 +1,14 @@
 //! The wire codec must not allocate on the steady-state path: encoders
 //! append into reused buffers, decoders borrow straight from the frame
-//! body, and framing reuses the caller's body buffer — so a warmed-up
-//! connection turns requests into replies with zero heap traffic.
+//! body, and framing reads into the connection's `FrameReader` buffer —
+//! so a warmed-up connection turns requests into replies with zero heap
+//! traffic.
 //!
 //! Verified with a counting global allocator (same discipline as the
 //! repo-root `alloc_free_serve.rs`). This file holds exactly one test so
 //! no concurrent test can pollute the counter.
 
-use sqp_net::frame::{read_frame, write_frame, FrameRead};
+use sqp_net::frame::{write_frame, FrameRead, FrameReader};
 use sqp_net::wire::{self, BatchEntry, Reply, Request};
 use sqp_serve::Suggestion;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -38,11 +39,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// One full wire round: encode a mix of requests into `body`, frame them
-/// through `wire_buf`, read them back into `rx`, decode (borrowed), walk
-/// every field, then do the same for replies.
+/// through `wire_buf`, read them back through `rx`, decode (borrowed),
+/// walk every field, then do the same for replies.
 fn round(
     body: &mut Vec<u8>,
-    rx: &mut Vec<u8>,
+    rx: &mut FrameReader,
     wire_buf: &mut [u8],
     entries: &[BatchEntry],
     suggestions: &[Suggestion],
@@ -64,11 +65,11 @@ fn round(
         let used = w.position() as usize;
 
         let mut r = Cursor::new(&wire_buf[..used]);
-        match read_frame(&mut r, rx, wire::DEFAULT_MAX_FRAME).expect("read") {
-            FrameRead::Frame => {}
+        let frame = match rx.read_frame(&mut r).expect("read") {
+            FrameRead::Frame(frame) => frame,
             other => panic!("expected a frame, got {other:?}"),
-        }
-        match wire::decode_request(rx).expect("decode") {
+        };
+        match wire::decode_request(frame).expect("decode") {
             Request::Track { user, query, .. } => {
                 checksum = checksum.wrapping_add(user).wrapping_add(query.len() as u64)
             }
@@ -102,11 +103,11 @@ fn round(
         let used = w.position() as usize;
 
         let mut r = Cursor::new(&wire_buf[..used]);
-        match read_frame(&mut r, rx, wire::DEFAULT_MAX_FRAME).expect("read") {
-            FrameRead::Frame => {}
+        let frame = match rx.read_frame(&mut r).expect("read") {
+            FrameRead::Frame(frame) => frame,
             other => panic!("expected a frame, got {other:?}"),
-        }
-        match wire::decode_reply(rx).expect("decode") {
+        };
+        match wire::decode_reply(frame).expect("decode") {
             Reply::Suggestions(list) => {
                 for (score, query) in list.iter() {
                     checksum = checksum.wrapping_add(score.to_bits() ^ query.len() as u64);
@@ -132,7 +133,7 @@ fn wire_codec_steady_state_is_allocation_free() {
         .collect();
 
     let mut body = Vec::new();
-    let mut rx = Vec::new();
+    let mut rx = FrameReader::new(wire::DEFAULT_MAX_FRAME);
     let mut wire_buf = vec![0u8; 8 * 1024];
 
     // Warm up: both reusable buffers reach steady-state capacity.

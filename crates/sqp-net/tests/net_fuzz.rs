@@ -7,7 +7,7 @@
 //! land anywhere — opcode, length prefix, varint, UTF-8). The contract
 //! under test is the one `WIRE.md` §4 states: every case ends in a
 //! typed `R_ERROR`, a normal reply, or a clean disconnect — never a
-//! panic (checked via `NetServer::workers_alive` plus a final live
+//! panic (checked via `NetServer::handler_panics` plus a final live
 //! round trip) and never a hang (every client read is deadline-bounded,
 //! and a timeout fails the test).
 //!
@@ -19,6 +19,7 @@
 
 use sqp_common::rng::{Rng, StdRng};
 use sqp_logsim::RawLogRecord;
+use sqp_net::frame::{FrameRead, FrameReader};
 use sqp_net::wire::{self, BatchEntry};
 use sqp_net::{NetServer, ServerConfig};
 use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
@@ -124,25 +125,25 @@ fn run_case(addr: SocketAddr, case: usize, bytes: &[u8]) -> Vec<u8> {
     let _ = stream.shutdown(Shutdown::Write);
 
     let mut outcome = vec![u8::from(send_err)];
-    let mut rbuf = Vec::new();
+    let mut reader = FrameReader::new(MAX_FRAME);
     loop {
-        match sqp_net::frame::read_frame(&mut stream, &mut rbuf, MAX_FRAME) {
-            Ok(sqp_net::frame::FrameRead::Frame) => {
+        match reader.read_frame(&mut stream) {
+            Ok(FrameRead::Frame(body)) => {
                 // Record the reply opcode; for typed errors, the code too.
-                let op = rbuf.first().copied().unwrap_or(0);
+                let op = body.first().copied().unwrap_or(0);
                 outcome.push(op);
                 if op == wire::op::R_ERROR {
-                    outcome.push(rbuf.get(1).copied().unwrap_or(0));
+                    outcome.push(body.get(1).copied().unwrap_or(0));
                 }
                 // Every reply frame must itself decode.
-                wire::decode_reply(&rbuf)
+                wire::decode_reply(body)
                     .unwrap_or_else(|e| panic!("case {case}: server sent undecodable reply: {e}"));
             }
-            Ok(sqp_net::frame::FrameRead::CleanEof) => {
+            Ok(FrameRead::CleanEof) => {
                 outcome.push(0xF0);
                 break;
             }
-            Ok(sqp_net::frame::FrameRead::Reject(_)) => {
+            Ok(FrameRead::Reject(_)) => {
                 outcome.push(0xF1);
                 break;
             }
@@ -174,7 +175,6 @@ fn sweep() -> u64 {
     let server = NetServer::start(
         engine(),
         ServerConfig {
-            workers: 2,
             max_frame_len: MAX_FRAME,
             ..ServerConfig::default()
         },
@@ -189,16 +189,21 @@ fn sweep() -> u64 {
         let outcome = run_case(addr, case, &bytes);
         fnv1a(&mut digest, &outcome);
         if case % 1024 == 0 {
-            assert!(
-                server.workers_alive(),
-                "a worker died (panicked) before case {case}"
+            assert_eq!(
+                server.handler_panics(),
+                0,
+                "a request handler panicked before case {case}"
             );
         }
     }
 
     // After 10k+ malformed conversations the server must still be fully
-    // alive: no dead workers, and a fresh client gets real answers.
-    assert!(server.workers_alive(), "a worker died during the sweep");
+    // alive: no handler panicked, and a fresh client gets real answers.
+    assert_eq!(
+        server.handler_panics(),
+        0,
+        "a handler panicked during the sweep"
+    );
     let mut client = sqp_net::NetClient::connect_timeout(addr, HANG_DEADLINE).unwrap();
     client.ping().expect("server must still answer pings");
     match client.track_and_suggest(99, "alpha", 1, 50_000).unwrap() {

@@ -20,7 +20,7 @@
 //!   generation;
 //! * **clean drain** — the server's own accounting agrees with the
 //!   clients' (`replies_out == frames_in`, nothing stuck in a queue),
-//!   all workers alive, then `shutdown()` joins everything.
+//!   no handler panicked, then `shutdown()` joins everything.
 
 use sqp_logsim::RawLogRecord;
 use sqp_net::{BatchAnswer, BatchEntry, NetClient, NetServer, ServeAnswer, ServerConfig};
@@ -119,7 +119,6 @@ fn soak_mixed_traffic_with_mid_flight_rolling_publish() {
     let server = NetServer::start(
         Arc::clone(&router),
         ServerConfig {
-            workers: 4,
             queue_depth: 32,
             ..ServerConfig::default()
         },
@@ -285,9 +284,13 @@ fn soak_mixed_traffic_with_mid_flight_rolling_publish() {
     drop(check);
 
     // Clean drain: the server's own ledger balances (one reply written
-    // per frame read; the final stats probe counts too), and no worker
-    // died along the way.
-    assert!(server.workers_alive(), "no worker may die during the soak");
+    // per frame read; the final stats probe counts too), and no request
+    // handler panicked along the way.
+    assert_eq!(
+        server.handler_panics(),
+        0,
+        "no handler may panic during the soak"
+    );
     let stats = server.stats();
     assert_eq!(
         stats.replies_out, stats.frames_in,

@@ -15,7 +15,7 @@
 //!   lock-free so a poller never contends with traffic.
 //!
 //! The trait requires `Send + Sync`: a surface is always shared across
-//! threads (worker pools, reader threads, stats pollers), and requiring it
+//! threads (connection threads, stats pollers), and requiring it
 //! here turns a accidentally-non-`Sync` implementation into a compile
 //! error at `impl` time rather than a usage error at spawn time.
 
