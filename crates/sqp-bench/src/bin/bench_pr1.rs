@@ -16,6 +16,7 @@
 
 use sqp_bench::baseline::BaselineWindowCounts;
 use sqp_bench::harness::{format_ns, measure, Stats};
+use sqp_bench::json_escape;
 use sqp_core::counts::WindowCounts;
 use sqp_core::{Vmm, VmmConfig};
 use std::hint::black_box;
@@ -28,10 +29,6 @@ const AB_ROUNDS: usize = 15;
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -17,6 +17,7 @@
 //!
 //! Usage: `cargo run --release -p sqp-bench --bin bench_pr10 [out.json]`
 
+use sqp_bench::json_escape;
 use sqp_bench::membership_loop::run_membership_soak;
 use sqp_bench::serve_loop::{self, ServeLoopConfig, ServeLoopReport};
 use sqp_router::{RouterConfig, RouterEngine};
@@ -25,10 +26,6 @@ use std::time::Instant;
 
 const REPLICAS: usize = 4;
 const MAX_P99_RATIO: f64 = 2.0;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn check(report: &ServeLoopReport, label: &str) {
     assert!(

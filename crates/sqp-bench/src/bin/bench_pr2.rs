@@ -12,14 +12,11 @@
 //!
 //! Usage: `cargo run --release -p sqp-bench --bin bench_pr2 [out.json]`
 
+use sqp_bench::json_escape;
 use sqp_bench::serve_loop::{self, ServeLoopConfig};
 use sqp_serve::SuggestRequest;
 use std::hint::black_box;
 use std::time::Instant;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn main() {
     let out_path = std::env::args()

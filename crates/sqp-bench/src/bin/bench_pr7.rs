@@ -12,71 +12,12 @@
 //!
 //! Usage: `cargo run --release -p sqp-bench --bin bench_pr7 [out.json]`
 
+use sqp_bench::json_escape;
 use sqp_bench::router_loop::{self, run_chaos_roll, run_skew_soak};
-use sqp_bench::serve_loop::{self, ServeLoopConfig, ServeLoopReport};
+use sqp_bench::serve_loop::{self, ServeLoopConfig};
 
 const ROUTER_REPLICAS: usize = 4;
 const MAX_P99_RATIO: f64 = 2.0;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn check(report: &ServeLoopReport, cfg: &ServeLoopConfig, label: &str) {
-    assert_eq!(
-        report.swaps_completed, cfg.swaps as u64,
-        "{label}: trainer failed to publish"
-    );
-    assert!(
-        report.mid_run_swaps > 0,
-        "{label}: no publication landed while traffic was flowing"
-    );
-    assert!(
-        report.nonempty_suggestions > 0,
-        "{label}: traffic never produced a suggestion"
-    );
-    assert_eq!(
-        report.final_generation, cfg.swaps as u64,
-        "{label}: the tier's trailing edge missed a publication"
-    );
-}
-
-fn serve_loop_json(report: &ServeLoopReport, indent: &str) -> String {
-    let mut json = String::new();
-    json.push_str(&format!("{indent}\"ops_total\": {},\n", report.ops_total));
-    json.push_str(&format!(
-        "{indent}\"suggests_total\": {},\n",
-        report.suggests_total
-    ));
-    json.push_str(&format!(
-        "{indent}\"nonempty_suggestions\": {},\n",
-        report.nonempty_suggestions
-    ));
-    json.push_str(&format!(
-        "{indent}\"elapsed_secs\": {:.3},\n",
-        report.elapsed_secs
-    ));
-    json.push_str(&format!(
-        "{indent}\"throughput_ops_per_sec\": {:.0},\n",
-        report.throughput_ops_per_sec
-    ));
-    json.push_str(&format!("{indent}\"p50_us\": {:.1},\n", report.p50_us));
-    json.push_str(&format!("{indent}\"p99_us\": {:.1},\n", report.p99_us));
-    json.push_str(&format!("{indent}\"max_us\": {:.1},\n", report.max_us));
-    json.push_str(&format!(
-        "{indent}\"mid_run_swaps\": {},\n",
-        report.mid_run_swaps
-    ));
-    json.push_str(&format!(
-        "{indent}\"final_generation\": {},\n",
-        report.final_generation
-    ));
-    json.push_str(&format!(
-        "{indent}\"active_sessions_at_end\": {}\n",
-        report.active_sessions
-    ));
-    json
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -93,7 +34,7 @@ fn main() {
         "  {:.0} ops/s | p50 {:.1}µs p99 {:.1}µs max {:.1}µs",
         single.throughput_ops_per_sec, single.p50_us, single.p99_us, single.max_us
     );
-    check(&single, &cfg, "single");
+    single.assert_ran(&cfg, "single");
 
     eprintln!("same workload on a {ROUTER_REPLICAS}-replica router tier…");
     let routed = router_loop::run_router(&cfg, ROUTER_REPLICAS);
@@ -101,7 +42,7 @@ fn main() {
         "  {:.0} ops/s | p50 {:.1}µs p99 {:.1}µs max {:.1}µs",
         routed.throughput_ops_per_sec, routed.p50_us, routed.p99_us, routed.max_us
     );
-    check(&routed, &cfg, "router");
+    routed.assert_ran(&cfg, "router");
 
     let p50_ratio = routed.p50_us / single.p50_us.max(1e-9);
     let p99_ratio = routed.p99_us / single.p99_us.max(1e-9);
@@ -150,10 +91,10 @@ fn main() {
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     json.push_str(&format!("  \"router_replicas\": {ROUTER_REPLICAS},\n"));
     json.push_str("  \"single_engine\": {\n");
-    json.push_str(&serve_loop_json(&single, "    "));
+    json.push_str(&single.json_members("    "));
     json.push_str("  },\n");
     json.push_str("  \"router\": {\n");
-    json.push_str(&serve_loop_json(&routed, "    "));
+    json.push_str(&routed.json_members("    "));
     json.push_str("  },\n");
     json.push_str(&format!(
         "  \"router_vs_single\": {{\"p50_ratio\": {p50_ratio:.2}, \"p99_ratio\": {p99_ratio:.2}, \"throughput_ratio\": {throughput_ratio:.2}, \"max_p99_ratio_allowed\": {MAX_P99_RATIO:.1}}},\n"

@@ -13,70 +13,11 @@
 //!
 //! Usage: `cargo run --release -p sqp-bench --bin bench_pr8 [out.json]`
 
+use sqp_bench::json_escape;
 use sqp_bench::net_loop;
-use sqp_bench::serve_loop::{self, ServeLoopConfig, ServeLoopReport};
+use sqp_bench::serve_loop::{self, ServeLoopConfig};
 
 const MAX_P99_RATIO: f64 = 5.0;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn check(report: &ServeLoopReport, cfg: &ServeLoopConfig, label: &str) {
-    assert_eq!(
-        report.swaps_completed, cfg.swaps as u64,
-        "{label}: trainer failed to publish"
-    );
-    assert!(
-        report.mid_run_swaps > 0,
-        "{label}: no publication landed while traffic was flowing"
-    );
-    assert!(
-        report.nonempty_suggestions > 0,
-        "{label}: traffic never produced a suggestion"
-    );
-    assert_eq!(
-        report.final_generation, cfg.swaps as u64,
-        "{label}: a publication went missing"
-    );
-}
-
-fn serve_loop_json(report: &ServeLoopReport, indent: &str) -> String {
-    let mut json = String::new();
-    json.push_str(&format!("{indent}\"ops_total\": {},\n", report.ops_total));
-    json.push_str(&format!(
-        "{indent}\"suggests_total\": {},\n",
-        report.suggests_total
-    ));
-    json.push_str(&format!(
-        "{indent}\"nonempty_suggestions\": {},\n",
-        report.nonempty_suggestions
-    ));
-    json.push_str(&format!(
-        "{indent}\"elapsed_secs\": {:.3},\n",
-        report.elapsed_secs
-    ));
-    json.push_str(&format!(
-        "{indent}\"throughput_ops_per_sec\": {:.0},\n",
-        report.throughput_ops_per_sec
-    ));
-    json.push_str(&format!("{indent}\"p50_us\": {:.1},\n", report.p50_us));
-    json.push_str(&format!("{indent}\"p99_us\": {:.1},\n", report.p99_us));
-    json.push_str(&format!("{indent}\"max_us\": {:.1},\n", report.max_us));
-    json.push_str(&format!(
-        "{indent}\"mid_run_swaps\": {},\n",
-        report.mid_run_swaps
-    ));
-    json.push_str(&format!(
-        "{indent}\"final_generation\": {},\n",
-        report.final_generation
-    ));
-    json.push_str(&format!(
-        "{indent}\"active_sessions_at_end\": {}\n",
-        report.active_sessions
-    ));
-    json
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -105,7 +46,7 @@ fn main() {
         "  {:.0} ops/s | p50 {:.1}µs p99 {:.1}µs max {:.1}µs",
         inproc.throughput_ops_per_sec, inproc.p50_us, inproc.p99_us, inproc.max_us
     );
-    check(&inproc, &cfg, "in-process");
+    inproc.assert_ran(&cfg, "in-process");
 
     eprintln!("same workload over TCP (sqp-net, admin-port publish)…");
     let wire = net_loop::run_wire(&cfg);
@@ -113,7 +54,7 @@ fn main() {
         "  {:.0} ops/s | p50 {:.1}µs p99 {:.1}µs max {:.1}µs",
         wire.throughput_ops_per_sec, wire.p50_us, wire.p99_us, wire.max_us
     );
-    check(&wire, &cfg, "wire");
+    wire.assert_ran(&cfg, "wire");
 
     let p50_ratio = wire.p50_us / inproc.p50_us.max(1e-9);
     let p99_ratio = wire.p99_us / inproc.p99_us.max(1e-9);
@@ -146,10 +87,10 @@ fn main() {
     ));
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     json.push_str("  \"in_process\": {\n");
-    json.push_str(&serve_loop_json(&inproc, "    "));
+    json.push_str(&inproc.json_members("    "));
     json.push_str("  },\n");
     json.push_str("  \"wire\": {\n");
-    json.push_str(&serve_loop_json(&wire, "    "));
+    json.push_str(&wire.json_members("    "));
     json.push_str("  },\n");
     json.push_str(&format!(
         "  \"wire_vs_in_process\": {{\"p50_ratio\": {p50_ratio:.2}, \"p99_ratio\": {p99_ratio:.2}, \"throughput_ratio\": {throughput_ratio:.2}, \"max_p99_ratio_allowed\": {MAX_P99_RATIO:.1}}},\n"

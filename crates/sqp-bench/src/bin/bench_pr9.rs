@@ -21,6 +21,7 @@
 //! Usage: `cargo run --release -p sqp-bench --bin bench_pr9 [out.json]`
 
 use sqp_bench::serve_loop::{build_parts, ServeLoopConfig};
+use sqp_bench::{json_escape, percentile_us};
 use sqp_common::breaker::BreakerConfig;
 use sqp_common::rng::{Rng, StdRng};
 use sqp_faults::{Chaos, ChaosProxy, FaultPlan};
@@ -87,14 +88,6 @@ struct LatReport {
     max_us: f64,
     /// p50 over the single (non-batch) round trips only: the Nagle canary.
     single_p50_us: f64,
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
 }
 
 fn summarize(per_thread: Vec<(Vec<u64>, Vec<u64>, u64)>, elapsed_secs: f64) -> LatReport {
@@ -332,7 +325,10 @@ fn run_failover(snapshot: Arc<ModelSnapshot>) -> FailoverReport {
         answered,
         worst_op_ms: worst.as_millis() as u64,
         settle_ms,
-        breaker_trips: remote.endpoint_breaker(0).trips,
+        breaker_trips: remote
+            .endpoint_breaker(0)
+            .expect("the tier has an endpoint 0")
+            .trips,
         failovers: stats.failovers,
     };
 
@@ -341,10 +337,6 @@ fn run_failover(snapshot: Arc<ModelSnapshot>) -> FailoverReport {
     victim_server.shutdown();
     healthy_server.shutdown();
     report
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn lat_json(r: &LatReport, indent: &str) -> String {

@@ -28,7 +28,9 @@
 use sqp_common::clock::Clock;
 use sqp_faults::{Chaos, ChaosStats, FaultPlan, VirtualClock};
 use sqp_logsim::RawLogRecord;
-use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
+use sqp_serve::{
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, TrainingConfig,
+};
 use sqp_store::{
     latest_generation_on_disk, RetrainConfig, Retrainer, RetrainerHealth, StepOutcome,
     SuperviseConfig, Supervisor,

@@ -67,3 +67,39 @@ pub fn bench_contexts(n_sessions: usize, seed: u64, len: usize, take: usize) -> 
         .map(|e| e.context.clone())
         .collect()
 }
+
+/// The `p` quantile (0.0–1.0, nearest rank) of ascending nanosecond
+/// samples, in microseconds; 0 for no samples.
+pub fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
+    if sorted_ns.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
+    sorted_ns[idx] as f64 / 1_000.0
+}
+
+/// Escape `s` for embedding in a JSON string literal (backslashes and
+/// double quotes — the only specials the bench reports' labels contain).
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentiles_of_known_distribution() {
+        let ns: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
+        assert!((percentile_us(&ns, 0.50) - 50.0).abs() <= 1.0);
+        assert!((percentile_us(&ns, 0.99) - 99.0).abs() <= 1.0);
+        assert_eq!(percentile_us(&ns, 1.0), 100.0);
+        assert_eq!(percentile_us(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn json_escape_escapes_backslashes_and_quotes() {
+        assert_eq!(json_escape(r#"a\b"c"#), r#"a\\b\"c"#);
+        assert_eq!(json_escape("plain"), "plain");
+    }
+}

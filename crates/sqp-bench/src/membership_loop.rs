@@ -234,11 +234,10 @@ fn drive_worker(
             // draining — the one case a graceful membership change turns
             // traffic away (typed, counted, never lost).
             let fresh = (worker as u64) * 1_000_000 + 500_000 + i;
-            let out = router.track(fresh, "seed", now);
-            if out.context_len == 0 {
-                tally.refused += 1;
-            } else {
-                tally.answered += 1;
+            // The only refusal an in-process track has is `Draining`.
+            match router.track(fresh, "seed", now) {
+                Ok(_) => tally.answered += 1,
+                Err(_) => tally.refused += 1,
             }
         } else if i % 8 == 7 {
             // A batch across this worker's users.
@@ -267,14 +266,11 @@ fn drive_worker(
         } else {
             let user = state.users[(track_i % USERS_PER_WORKER) as usize];
             track_i += 1;
-            let out = router.track(user, "seed", now);
-            if out.context_len == 0 {
-                // The draining-engine refusal sentinel: an admitted track
-                // always reports a context of at least the query itself.
+            let Ok(out) = router.track(user, "seed", now) else {
                 tally.refused += 1;
                 tally.content = fnv_u64(tally.content, user ^ u64::MAX);
                 continue;
-            }
+            };
             tally.answered += 1;
             tally.content = fnv_u64(tally.content, user);
             tally.content = fnv_u64(tally.content, out.context_len as u64);

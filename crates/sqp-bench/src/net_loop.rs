@@ -16,6 +16,7 @@
 //! round trip per op, and the server's reader/worker handoff. `bench_pr8`
 //! gates that overhead (wire p99 ≤ 5× in-process p99).
 
+use crate::percentile_us;
 use crate::serve_loop::{build_engine, ServeLoopConfig, ServeLoopReport};
 use sqp_common::rng::{Rng, StdRng};
 use sqp_core::VmmConfig;
@@ -209,14 +210,6 @@ pub fn run_wire(cfg: &ServeLoopConfig) -> ServeLoopReport {
         active_sessions: wire_stats.active_sessions as usize,
         evicted_at_end,
     }
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
 }
 
 #[cfg(test)]

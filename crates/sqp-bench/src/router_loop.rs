@@ -372,7 +372,7 @@ pub fn run_chaos_roll(seed: u64) -> ChaosRollReport {
     };
     let observers: Vec<u64> = (0..REPLICAS).map(observer_for).collect();
     for &user in &observers {
-        router.track(user, "seed", 1_000);
+        router.track(user, "seed", 1_000).unwrap();
     }
 
     let chaos = Chaos::new(FaultPlan {
@@ -431,7 +431,9 @@ pub fn run_chaos_roll(seed: u64) -> ChaosRollReport {
     // read of the same file, published to the quarantined replica, lifts
     // its quarantine and converges the tier.
     let (snapshot, _) = sqp_store::load_snapshot(&new_path).unwrap();
-    router.publish_to(failed_replica, Arc::new(snapshot));
+    router
+        .publish_to(failed_replica, Arc::new(snapshot))
+        .expect("the quarantined replica is still live");
     let stats = router.stats();
     assert!(stats.is_converged());
     assert_eq!(stats.quarantined(), 0);

@@ -7,9 +7,9 @@
 //! recorded; the report carries throughput plus the p50/p99/max tail, which
 //! is exactly what a publication stall would show up in.
 //!
-//! The workload is generic over [`ServeSurface`] (defined in `sqp-serve`,
-//! re-exported here) — implemented by the single [`ServeEngine`] and by
-//! the replicated [`RouterEngine`](sqp_router::RouterEngine) tier (see
+//! The workload is generic over [`ServeSurface`] — implemented by the
+//! single [`ServeEngine`] and by the replicated
+//! [`RouterEngine`](sqp_router::RouterEngine) tier (see
 //! [`run_on`] / `router_loop`) — so "router overhead vs single engine" is
 //! measured on byte-identical traffic, and the same seeded workload can be
 //! replayed over real sockets by `net_loop`.
@@ -22,20 +22,16 @@
 //! here the swap-vs-traffic interaction is exercised at full speed and the
 //! report asserts the publications actually landed mid-traffic.
 
+use crate::percentile_us;
 use sqp_common::rng::{Rng, StdRng};
 use sqp_core::VmmConfig;
 use sqp_serve::{
-    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, SuggestRequest, TrainingConfig,
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, SuggestRequest,
+    TrainingConfig,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-// The serving-surface abstraction the workload is generic over was born
-// here; it now lives in `sqp-serve` (with the admission-controlled and
-// stats accessors the network front-end needs) and is re-exported so
-// existing `serve_loop::ServeSurface` imports keep working.
-pub use sqp_serve::ServeSurface;
 
 /// Workload shape for one `serve_loop` run.
 #[derive(Clone, Copy, Debug)]
@@ -129,12 +125,67 @@ pub struct ServeLoopReport {
     pub evicted_at_end: usize,
 }
 
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
+impl ServeLoopReport {
+    /// Panic unless the run did what `cfg` asked: every publication
+    /// landed, at least one while traffic flowed, the trailing edge
+    /// reached the last one, and traffic produced suggestions.
+    pub fn assert_ran(&self, cfg: &ServeLoopConfig, label: &str) {
+        assert_eq!(
+            self.swaps_completed, cfg.swaps as u64,
+            "{label}: trainer failed to publish"
+        );
+        assert!(
+            self.mid_run_swaps > 0,
+            "{label}: no publication landed while traffic was flowing"
+        );
+        assert!(
+            self.nonempty_suggestions > 0,
+            "{label}: traffic never produced a suggestion"
+        );
+        assert_eq!(
+            self.final_generation, cfg.swaps as u64,
+            "{label}: the tier's trailing edge missed a publication"
+        );
     }
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
+
+    /// The report as JSON object members at `indent`, without braces —
+    /// the per-run rows of the bench reports.
+    pub fn json_members(&self, indent: &str) -> String {
+        let mut json = String::new();
+        json.push_str(&format!("{indent}\"ops_total\": {},\n", self.ops_total));
+        json.push_str(&format!(
+            "{indent}\"suggests_total\": {},\n",
+            self.suggests_total
+        ));
+        json.push_str(&format!(
+            "{indent}\"nonempty_suggestions\": {},\n",
+            self.nonempty_suggestions
+        ));
+        json.push_str(&format!(
+            "{indent}\"elapsed_secs\": {:.3},\n",
+            self.elapsed_secs
+        ));
+        json.push_str(&format!(
+            "{indent}\"throughput_ops_per_sec\": {:.0},\n",
+            self.throughput_ops_per_sec
+        ));
+        json.push_str(&format!("{indent}\"p50_us\": {:.1},\n", self.p50_us));
+        json.push_str(&format!("{indent}\"p99_us\": {:.1},\n", self.p99_us));
+        json.push_str(&format!("{indent}\"max_us\": {:.1},\n", self.max_us));
+        json.push_str(&format!(
+            "{indent}\"mid_run_swaps\": {},\n",
+            self.mid_run_swaps
+        ));
+        json.push_str(&format!(
+            "{indent}\"final_generation\": {},\n",
+            self.final_generation
+        ));
+        json.push_str(&format!(
+            "{indent}\"active_sessions_at_end\": {}\n",
+            self.active_sessions
+        ));
+        json
+    }
 }
 
 /// Build the initial trained snapshot for `cfg`, plus the raw records (for
@@ -278,7 +329,9 @@ pub fn run_on<S: ServeSurface>(
                                     k: cfg.suggest_k,
                                 })
                                 .collect();
-                            let got = engine.suggest_batch(&reqs, now);
+                            // A refused batch (a shed, or a remote tier
+                            // that is down) counts as answering nothing.
+                            let got = engine.try_suggest_batch(&reqs, now).unwrap_or_default();
                             nonempty.fetch_add(
                                 got.iter().filter(|s| !s.is_empty()).count() as u64,
                                 Ordering::Relaxed,
@@ -295,7 +348,9 @@ pub fn run_on<S: ServeSurface>(
                             } else {
                                 vocabulary[rng.random_range(0usize..vocabulary.len())].clone()
                             };
-                            let got = engine.track_and_suggest(user, &query, cfg.suggest_k, now);
+                            let got = engine
+                                .try_track_and_suggest(user, &query, cfg.suggest_k, now)
+                                .unwrap_or_default();
                             if !got.is_empty() {
                                 nonempty.fetch_add(1, Ordering::Relaxed);
                             }
@@ -317,14 +372,13 @@ pub fn run_on<S: ServeSurface>(
     let mut all: Vec<u64> = latencies.into_iter().flatten().collect();
     all.sort_unstable();
     let ops_total = all.len() as u64;
-    let suggests_total = engine.suggests_total();
-    let active_sessions = engine.active_sessions();
+    let stats = engine.stats();
     let evicted_at_end = engine.evict_idle(u64::MAX / 2);
 
     ServeLoopReport {
         threads: cfg.threads,
         ops_total,
-        suggests_total,
+        suggests_total: stats.suggests,
         nonempty_suggestions: nonempty.load(Ordering::Relaxed),
         elapsed_secs: elapsed,
         throughput_ops_per_sec: ops_total as f64 / elapsed.max(1e-9),
@@ -333,22 +387,8 @@ pub fn run_on<S: ServeSurface>(
         max_us: percentile_us(&all, 1.0),
         swaps_completed: swaps_done.load(Ordering::Relaxed),
         mid_run_swaps: mid_run_swaps.load(Ordering::Relaxed),
-        final_generation: engine.generation(),
-        active_sessions,
+        final_generation: stats.publishes,
+        active_sessions: stats.active_sessions as usize,
         evicted_at_end,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentiles_of_known_distribution() {
-        let ns: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
-        assert!((percentile_us(&ns, 0.50) - 50.0).abs() <= 1.0);
-        assert!((percentile_us(&ns, 0.99) - 99.0).abs() <= 1.0);
-        assert_eq!(percentile_us(&ns, 1.0), 100.0);
-        assert_eq!(percentile_us(&[], 0.5), 0.0);
     }
 }

@@ -23,15 +23,15 @@
 //! A separate test pins the typed-shed path end to end: an engine whose
 //! admission budget is exhausted sheds over the wire, and the
 //! `RemoteEngine` surfaces it as [`RemoteOutcome::Shed`] /
-//! [`Overloaded`](sqp_serve::Overloaded) — never as a degraded or empty
+//! [`ServeError::Overloaded`](sqp_serve::ServeError) — never as a degraded or empty
 //! answer.
 
 use sqp_bench::serve_loop::{build_parts, ServeLoopConfig};
-use sqp_common::breaker::{BreakerConfig, BreakerState};
+use sqp_common::breaker::{BreakerConfig, BreakerState, BreakerStats};
 use sqp_common::rng::{Rng, StdRng};
 use sqp_faults::{Chaos, ChaosProxy, FaultPlan};
 use sqp_net::{EndpointConfig, NetServer, RemoteConfig, RemoteEngine, RemoteOutcome, ServerConfig};
-use sqp_serve::{EngineConfig, ServeEngine, ServeSurface, SuggestRequest};
+use sqp_serve::{EngineConfig, ServeEngine, ServeError, ServeSurface, SuggestRequest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -192,12 +192,19 @@ fn sent(tallies: &[PhaseTally]) -> u64 {
     tallies.iter().map(|t| t.sent).sum()
 }
 
+/// Breaker of endpoint `idx`, which the scenario knows exists.
+fn breaker(remote: &RemoteEngine, idx: usize) -> BreakerStats {
+    remote
+        .endpoint_breaker(idx)
+        .expect("endpoint index in range")
+}
+
 /// Ping until endpoint `idx`'s breaker reaches `want` (pings alternate
 /// their home endpoint, so both breakers see attempts and, once a cooldown
 /// elapses, half-open probes).
 fn await_breaker(remote: &RemoteEngine, idx: usize, want: BreakerState) {
     for _ in 0..400 {
-        if remote.endpoint_breaker(idx).state == want {
+        if breaker(remote, idx).state == want {
             return;
         }
         let _ = remote.remote_ping();
@@ -205,7 +212,7 @@ fn await_breaker(remote: &RemoteEngine, idx: usize, want: BreakerState) {
     }
     panic!(
         "endpoint {idx} breaker never reached {want:?}: {:?}",
-        remote.endpoint_breaker(idx)
+        breaker(remote, idx)
     );
 }
 
@@ -299,7 +306,7 @@ fn run_scenario(seed: u64) -> ScenarioReport {
         "failover must keep answering: {phase_b:?}"
     );
     assert!(
-        remote.endpoint_breaker(victim).trips >= 1,
+        breaker(&remote, victim).trips >= 1,
         "victim breaker must have tripped"
     );
 
@@ -311,7 +318,7 @@ fn run_scenario(seed: u64) -> ScenarioReport {
     remote.drain_pools();
     await_breaker(&remote, victim, BreakerState::Closed);
     assert!(
-        remote.endpoint_breaker(victim).recoveries >= 1,
+        breaker(&remote, victim).recoveries >= 1,
         "half-open probe must have closed the victim's breaker"
     );
     let phase_c = drive_phase(&remote, &vocabulary, seed, 2);
@@ -365,9 +372,9 @@ fn run_scenario(seed: u64) -> ScenarioReport {
     let stats = remote.remote_stats();
     assert!(stats.failovers > 0, "no failover observed: {stats:?}");
     assert!(stats.degraded > 0, "no degradation observed: {stats:?}");
-    let vb = remote.endpoint_breaker(victim);
+    let vb = breaker(&remote, victim);
     assert!(vb.trips >= 2 && vb.recoveries >= 2, "victim cycle: {vb:?}");
-    let ob = remote.endpoint_breaker(1);
+    let ob = breaker(&remote, 1);
     assert!(ob.trips >= 1 && ob.recoveries >= 1, "other cycle: {ob:?}");
 
     // The replay digest: seed, per-phase per-worker sent counts and
@@ -441,8 +448,10 @@ fn shed_is_typed_end_to_end() {
     }
     // Through the ServeSurface trait the shed is a typed `Overloaded`,
     // exactly like an in-process engine — not an empty answer.
-    let err = remote.try_suggest(1, 3, 10).expect_err("must shed");
-    assert_eq!(err.limit, 1);
+    assert_eq!(
+        remote.try_suggest(1, 3, 10),
+        Err(ServeError::Overloaded { limit: 1 })
+    );
 
     // Release the slot: the same tier answers again. A shed is
     // back-pressure, not an outage — and it never trips the breaker.
@@ -450,7 +459,7 @@ fn shed_is_typed_end_to_end() {
     assert!(remote.remote_suggest(1, 3, 20).is_answered());
     let stats = remote.remote_stats();
     assert!(stats.sheds >= 2, "sheds must be counted: {stats:?}");
-    assert_eq!(remote.endpoint_breaker(0).trips, 0, "sheds are not faults");
+    assert_eq!(breaker(&remote, 0).trips, 0, "sheds are not faults");
 
     remote.drain_pools();
     server.shutdown();

@@ -27,12 +27,11 @@
 //! * **Failover** — when the home endpoint (chosen by user hash, so
 //!   session affinity holds while healthy) is open or failing, attempts
 //!   move to the next healthy endpoint.
-//! * **Typed degradation, not errors** — when every endpoint is down the
-//!   outcome is [`RemoteOutcome::Degraded`] with a
-//!   [`DegradedReason`]; through the `ServeSurface` mapping that becomes
-//!   an *empty suggestion list* plus a counter, because a search box with
-//!   no suggestions is degraded service, while a search box that throws
-//!   is an outage.
+//! * **Typed degradation** — when every endpoint is down the outcome is
+//!   [`RemoteOutcome::Degraded`] with a [`DegradedReason`]; through the
+//!   `ServeSurface` mapping that becomes [`ServeError::Unavailable`] plus
+//!   a counter, so a caller never mistakes an outage for a session with
+//!   nothing to suggest.
 //!
 //! Connections are pooled per endpoint (warmup at construction, reconnect
 //! on demand, capped checkin), so steady state pays one connect per pooled
@@ -75,9 +74,9 @@ use crate::wire::{BatchEntry, RollSummary, WireStats};
 use sqp_common::breaker::{Admission, Backoff, Breaker, BreakerConfig, BreakerStats};
 use sqp_common::clock::{Clock, RealClock};
 use sqp_common::hash::FxHasher;
-use sqp_serve::TrackOutcome;
 use sqp_serve::{
-    EngineStats, ModelSnapshot, Overloaded, ServeSurface, SuggestRequest, Suggestion, Swap,
+    EngineStats, ModelSnapshot, ServeError, ServeSurface, SuggestRequest, Suggestion, Swap,
+    TrackOutcome,
 };
 use sqp_store::{save_snapshot, SnapshotMeta};
 use std::fmt;
@@ -238,6 +237,19 @@ impl<T> RemoteOutcome<T> {
     pub fn is_degraded(&self) -> bool {
         matches!(self, RemoteOutcome::Degraded(_))
     }
+
+    /// The [`ServeSurface`] view: a shed is [`ServeError::Overloaded`], a
+    /// degradation [`ServeError::Unavailable`] (its reason stays with the
+    /// `remote_*` calls).
+    fn into_serve_result(self) -> Result<T, ServeError> {
+        match self {
+            RemoteOutcome::Answered(v) => Ok(v),
+            RemoteOutcome::Shed { limit } => Err(ServeError::Overloaded {
+                limit: limit as usize,
+            }),
+            RemoteOutcome::Degraded(_) => Err(ServeError::Unavailable),
+        }
+    }
 }
 
 /// Point-in-time client-side view of one endpoint.
@@ -277,8 +289,8 @@ pub struct RemoteStats {
     pub retries: u64,
     /// Fresh connections established after construction-time warmup.
     pub reconnects: u64,
-    /// Typed sheds observed (mapped to [`Overloaded`] on the `try_*`
-    /// surface forms).
+    /// Typed sheds observed (mapped to [`ServeError::Overloaded`] on the
+    /// [`ServeSurface`] calls).
     pub sheds: u64,
     /// `publish` calls dropped because no spool directory is configured.
     pub publishes_skipped: u64,
@@ -610,10 +622,10 @@ impl RemoteEngine {
     }
 
     /// Breaker position/counters of endpoint `index` in the current
-    /// snapshot (panics out of range) — what tests assert
+    /// snapshot, or `None` past the end — what tests assert
     /// open→half-open→closed transitions on.
-    pub fn endpoint_breaker(&self, index: usize) -> BreakerStats {
-        self.snapshot()[index].breaker.stats()
+    pub fn endpoint_breaker(&self, index: usize) -> Option<BreakerStats> {
+        self.snapshot().get(index).map(|ep| ep.breaker.stats())
     }
 
     /// Close every pooled connection on every endpoint.
@@ -808,17 +820,6 @@ impl RemoteEngine {
         self.sheds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `TRACK` with the full typed outcome (never re-sent; see module
-    /// docs).
-    pub fn remote_track(&self, user: u64, query: &str, now: u64) -> RemoteOutcome<TrackOutcome> {
-        self.call(Some(user), Retryable::ConnectOnly, |c| {
-            c.track(user, query, now).map(|ack| TrackOutcome {
-                new_session: ack.new_session,
-                context_len: ack.context_len,
-            })
-        })
-    }
-
     /// `TRACK_SUGGEST` with the full typed outcome (never re-sent).
     pub fn remote_track_and_suggest(
         &self,
@@ -929,7 +930,8 @@ impl RemoteEngine {
 
     /// Aggregate wire stats across answering endpoints: counters sum,
     /// gauges sum, generation is the minimum (fully-propagated, matching
-    /// the `ServeSurface` contract). `None` when no endpoint answered.
+    /// the `ServeSurface` contract; `publishes` is summed like the other
+    /// counters). `None` when no endpoint answered.
     pub fn remote_wire_stats(&self) -> Option<WireStats> {
         let answers: Vec<WireStats> = self
             .for_each_endpoint(|c| c.stats())
@@ -977,25 +979,26 @@ impl RemoteEngine {
 }
 
 impl ServeSurface for RemoteEngine {
-    fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
-        match self.remote_track(user, query, now) {
-            RemoteOutcome::Answered(outcome) => outcome,
-            // A shed or degraded track recorded nothing; the session
-            // simply did not advance.
-            RemoteOutcome::Shed { .. } | RemoteOutcome::Degraded(_) => TrackOutcome {
-                new_session: false,
-                context_len: 0,
-            },
+    /// `TRACK`, never re-sent (see the module docs). A draining replica's
+    /// refusal arrives as the wire ack `{new_session: false, context_len:
+    /// 0}` (WIRE.md) and becomes [`ServeError::Draining`].
+    fn track(&self, user: u64, query: &str, now: u64) -> Result<TrackOutcome, ServeError> {
+        let ack = self
+            .call(Some(user), Retryable::ConnectOnly, |c| {
+                c.track(user, query, now)
+            })
+            .into_serve_result()?;
+        if ack.context_len == 0 {
+            return Err(ServeError::Draining);
         }
+        Ok(TrackOutcome {
+            new_session: ack.new_session,
+            context_len: ack.context_len,
+        })
     }
 
-    fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
-        match self.remote_track_and_suggest(user, query, k, now) {
-            RemoteOutcome::Answered(s) => s,
-            // Degraded serving is an empty suggestion list, not an error:
-            // the search box renders nothing instead of breaking.
-            RemoteOutcome::Shed { .. } | RemoteOutcome::Degraded(_) => Vec::new(),
-        }
+    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, ServeError> {
+        self.remote_suggest(user, k, now).into_serve_result()
     }
 
     fn try_track_and_suggest(
@@ -1004,47 +1007,17 @@ impl ServeSurface for RemoteEngine {
         query: &str,
         k: usize,
         now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        match self.remote_track_and_suggest(user, query, k, now) {
-            RemoteOutcome::Answered(s) => Ok(s),
-            RemoteOutcome::Shed { limit } => Err(Overloaded {
-                limit: limit as usize,
-            }),
-            RemoteOutcome::Degraded(_) => Ok(Vec::new()),
-        }
-    }
-
-    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded> {
-        match self.remote_suggest(user, k, now) {
-            RemoteOutcome::Answered(s) => Ok(s),
-            RemoteOutcome::Shed { limit } => Err(Overloaded {
-                limit: limit as usize,
-            }),
-            RemoteOutcome::Degraded(_) => Ok(Vec::new()),
-        }
-    }
-
-    fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        match self.remote_suggest_batch(requests, now) {
-            RemoteOutcome::Answered(lists) => lists,
-            RemoteOutcome::Shed { .. } | RemoteOutcome::Degraded(_) => {
-                vec![Vec::new(); requests.len()]
-            }
-        }
+    ) -> Result<Vec<Suggestion>, ServeError> {
+        self.remote_track_and_suggest(user, query, k, now)
+            .into_serve_result()
     }
 
     fn try_suggest_batch(
         &self,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
-        match self.remote_suggest_batch(requests, now) {
-            RemoteOutcome::Answered(lists) => Ok(lists),
-            RemoteOutcome::Shed { limit } => Err(Overloaded {
-                limit: limit as usize,
-            }),
-            RemoteOutcome::Degraded(_) => Ok(vec![Vec::new(); requests.len()]),
-        }
+    ) -> Result<Vec<Vec<Suggestion>>, ServeError> {
+        self.remote_suggest_batch(requests, now).into_serve_result()
     }
 
     fn evict_idle(&self, now: u64) -> usize {
@@ -1058,7 +1031,7 @@ impl ServeSurface for RemoteEngine {
         let Some(dir) = self.cfg.spool_dir.clone() else {
             // Nowhere the servers could load from: counted no-op.
             self.publishes_skipped.fetch_add(1, Ordering::Relaxed);
-            return self.generation();
+            return self.stats().publishes;
         };
         let seq = self.spool_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let path = dir.join(format!("remote-spool-{seq:06}.sqps"));
@@ -1066,33 +1039,25 @@ impl ServeSurface for RemoteEngine {
         if std::fs::create_dir_all(&dir).is_err() || save_snapshot(&path, &snapshot, &meta).is_err()
         {
             self.publishes_skipped.fetch_add(1, Ordering::Relaxed);
-            return self.generation();
+            return self.stats().publishes;
         }
-        match self.admin_publish(&path) {
-            Ok(generation) => generation,
-            Err(_) => self.generation(),
-        }
+        self.admin_publish(&path)
+            .unwrap_or_else(|_| self.stats().publishes)
     }
 
-    fn generation(&self) -> u64 {
-        self.remote_wire_stats().map_or(0, |s| s.generation)
-    }
-
+    /// Counters and gauges summed across the answering endpoints;
+    /// `publishes` is their minimum generation, the fully-propagated
+    /// trailing edge.
     fn stats(&self) -> EngineStats {
         let wire = self.remote_wire_stats().unwrap_or_default();
         EngineStats {
             tracks: wire.tracks,
             suggests: wire.suggests,
-            publishes: wire.publishes,
+            publishes: wire.generation,
             shed: wire.shed,
             evictions: wire.evictions,
             active_sessions: wire.active_sessions,
         }
-    }
-
-    fn active_sessions(&self) -> usize {
-        self.remote_wire_stats()
-            .map_or(0, |s| s.active_sessions as usize)
     }
 }
 

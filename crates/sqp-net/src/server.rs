@@ -29,12 +29,15 @@
 //! it does not read, so a hostile pipeliner fills the kernel buffers and
 //! meets TCP backpressure instead of growing server memory.
 //!
-//! Engine-level admission control is separate: traffic opcodes use the
-//! surface's `try_*` forms, and a typed [`Overloaded`](sqp_serve::Overloaded)
-//! from the engine also becomes `R_OVERLOADED` (with the exhausted budget
-//! in the body). `R_OVERLOADED { limit: 0 }` therefore always means "the
+//! Engine-level admission control is separate: traffic opcodes run the
+//! surface's admitted calls, and a typed [`ServeError::Overloaded`] from
+//! the engine also becomes `R_OVERLOADED` (with the exhausted budget in
+//! the body). `R_OVERLOADED { limit: 0 }` therefore always means "the
 //! server's own queue shed you", a distinction `NetServerStats` keeps too
-//! (`queue_shed` vs `engine_shed`).
+//! (`queue_shed` vs `engine_shed`). The other refusals keep their
+//! pre-typed bytes: a draining replica's refused `TRACK` is the ack
+//! `{new_session: false, context_len: 0}`, and a refused suggestion is an
+//! empty list.
 //!
 //! A request handler that panics takes down only its own connection: the
 //! socket is shut at once (the client sees a disconnect, not a timeout)
@@ -43,7 +46,7 @@
 use crate::admin::AdminSurface;
 use crate::frame::{write_frame, FrameReader};
 use crate::wire::{self, Request, WireError, WireStats};
-use sqp_serve::{ServeSurface, SuggestRequest};
+use sqp_serve::{ServeError, ServeSurface, SuggestRequest};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -510,16 +513,16 @@ fn write_reply(shared: &Shared, stream: &TcpStream, wbuf: &mut Vec<u8>) -> bool 
 fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Vec<SuggestRequest>) {
     let surface = &*shared.surface;
     match req {
-        Request::Track { user, now, query } => {
-            let outcome = surface.track(user, query, now);
-            wire::encode_ack(wbuf, outcome.new_session, outcome.context_len);
-        }
+        Request::Track { user, now, query } => match surface.track(user, query, now) {
+            Ok(outcome) => wire::encode_ack(wbuf, outcome.new_session, outcome.context_len),
+            // TRACK has one reply type: any refusal is the refusal ack.
+            Err(_) => wire::encode_ack(wbuf, false, 0),
+        },
         Request::Suggest { user, now, k } => match surface.try_suggest(user, k, now) {
             Ok(suggestions) => wire::encode_suggestions(wbuf, &suggestions),
-            Err(overloaded) => {
-                Counters::bump(&shared.counters.engine_shed);
-                wire::encode_overloaded(wbuf, overloaded.limit as u64);
-            }
+            Err(err) => refuse(shared, wbuf, err, |wbuf| {
+                wire::encode_suggestions(wbuf, &[])
+            }),
         },
         Request::TrackSuggest {
             user,
@@ -528,10 +531,9 @@ fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Ve
             query,
         } => match surface.try_track_and_suggest(user, query, k, now) {
             Ok(suggestions) => wire::encode_suggestions(wbuf, &suggestions),
-            Err(overloaded) => {
-                Counters::bump(&shared.counters.engine_shed);
-                wire::encode_overloaded(wbuf, overloaded.limit as u64);
-            }
+            Err(err) => refuse(shared, wbuf, err, |wbuf| {
+                wire::encode_suggestions(wbuf, &[])
+            }),
         },
         Request::SuggestBatch { now, entries } => {
             batch.clear();
@@ -541,10 +543,9 @@ fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Ve
             }));
             match surface.try_suggest_batch(batch, now) {
                 Ok(lists) => wire::encode_batch(wbuf, &lists),
-                Err(overloaded) => {
-                    Counters::bump(&shared.counters.engine_shed);
-                    wire::encode_overloaded(wbuf, overloaded.limit as u64);
-                }
+                Err(err) => refuse(shared, wbuf, err, |wbuf| {
+                    wire::encode_batch(wbuf, &vec![Vec::new(); entries.len()])
+                }),
             }
         }
         Request::Stats => {
@@ -552,7 +553,7 @@ fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Ve
             wire::encode_stats_reply(
                 wbuf,
                 &WireStats {
-                    generation: surface.generation(),
+                    generation: stats.publishes,
                     tracks: stats.tracks,
                     suggests: stats.suggests,
                     publishes: stats.publishes,
@@ -589,5 +590,18 @@ fn execute(shared: &Shared, req: Request<'_>, wbuf: &mut Vec<u8>, batch: &mut Ve
             }
             wire::encode_rolled(wbuf, &summary);
         }
+    }
+}
+
+/// Encode a refused suggestion call: an engine shed is `R_OVERLOADED` with
+/// the exhausted budget; a draining or unavailable tier answers `empty`,
+/// the reply of a session with nothing to suggest.
+fn refuse(shared: &Shared, wbuf: &mut Vec<u8>, err: ServeError, empty: impl FnOnce(&mut Vec<u8>)) {
+    match err {
+        ServeError::Overloaded { limit } => {
+            Counters::bump(&shared.counters.engine_shed);
+            wire::encode_overloaded(wbuf, limit as u64);
+        }
+        ServeError::Draining | ServeError::Unavailable => empty(wbuf),
     }
 }

@@ -23,7 +23,9 @@ use sqp_net::{
     EndpointConfig, EndpointSetError, NetServer, RemoteConfig, RemoteEngine, RemoteOutcome,
     ServerConfig,
 };
-use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
+use sqp_serve::{
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeError, ServeSurface, TrainingConfig,
+};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -180,7 +182,7 @@ fn retire_waits_out_in_flight_operations_then_drains() {
     proxy.set_blackhole(true);
     let worker = {
         let remote = Arc::clone(&remote);
-        std::thread::spawn(move || remote.remote_track(user_b, "weather", 3_000))
+        std::thread::spawn(move || remote.track(user_b, "weather", 3_000))
     };
 
     // The in-flight gauge must see the stuck operation.
@@ -212,7 +214,7 @@ fn retire_waits_out_in_flight_operations_then_drains() {
     // The stuck op resolved as typed degradation (never re-sent), and
     // nothing is in flight against the retired endpoint anymore.
     match worker.join().expect("worker thread") {
-        RemoteOutcome::Degraded(_) => {}
+        Err(ServeError::Unavailable) => {}
         other => panic!("black-holed track must degrade, got {other:?}"),
     }
 

@@ -13,7 +13,7 @@ use sqp_net::{
     AdminSurface, NetClient, NetError, NetServer, RollSummary, ServeAnswer, ServerConfig,
 };
 use sqp_serve::{
-    EngineConfig, EngineStats, ModelSnapshot, ModelSpec, Overloaded, ServeEngine, ServeSurface,
+    EngineConfig, EngineStats, ModelSnapshot, ModelSpec, ServeEngine, ServeError, ServeSurface,
     SuggestRequest, Suggestion, TrackOutcome, TrainingConfig,
 };
 use std::path::Path;
@@ -32,14 +32,14 @@ fn check(user: u64) {
 }
 
 impl ServeSurface for PanicOnUser {
-    fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
+    fn track(&self, user: u64, query: &str, now: u64) -> Result<TrackOutcome, ServeError> {
         check(user);
         self.0.track(user, query, now)
     }
 
-    fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
+    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, ServeError> {
         check(user);
-        self.0.track_and_suggest(user, query, k, now)
+        self.0.try_suggest(user, k, now)
     }
 
     fn try_track_and_suggest(
@@ -48,48 +48,30 @@ impl ServeSurface for PanicOnUser {
         query: &str,
         k: usize,
         now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
+    ) -> Result<Vec<Suggestion>, ServeError> {
         check(user);
-        ServeSurface::try_track_and_suggest(&self.0, user, query, k, now)
-    }
-
-    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded> {
-        check(user);
-        ServeSurface::try_suggest(&self.0, user, k, now)
-    }
-
-    fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        requests.iter().for_each(|r| check(r.user));
-        ServeSurface::suggest_batch(&self.0, requests, now)
+        self.0.try_track_and_suggest(user, query, k, now)
     }
 
     fn try_suggest_batch(
         &self,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
+    ) -> Result<Vec<Vec<Suggestion>>, ServeError> {
         requests.iter().for_each(|r| check(r.user));
-        ServeSurface::try_suggest_batch(&self.0, requests, now)
+        self.0.try_suggest_batch(requests, now)
     }
 
     fn evict_idle(&self, now: u64) -> usize {
-        ServeSurface::evict_idle(&self.0, now)
+        self.0.evict_idle(now)
     }
 
     fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
-        ServeSurface::publish(&self.0, snapshot)
-    }
-
-    fn generation(&self) -> u64 {
-        ServeSurface::generation(&self.0)
+        self.0.publish(snapshot)
     }
 
     fn stats(&self) -> EngineStats {
-        ServeSurface::stats(&self.0)
-    }
-
-    fn active_sessions(&self) -> usize {
-        ServeSurface::active_sessions(&self.0)
+        self.0.stats()
     }
 }
 

@@ -10,6 +10,11 @@
 //! interesting case: it only works because `RemoteEngine::drain_pools`
 //! makes the *client* side close first (so the dying server's sockets
 //! skip `TIME_WAIT` and the port frees immediately).
+//!
+//! Through `ServeSurface` every refusal stays typed too: a dead tier is
+//! `ServeError::Unavailable` (not an empty answer), a draining replica's
+//! refused `TRACK` is `ServeError::Draining`, and `stats().publishes` is
+//! the minimum generation across endpoints.
 
 use sqp_common::breaker::{BreakerConfig, BreakerState};
 use sqp_faults::{Chaos, ChaosProxy, FaultPlan};
@@ -18,7 +23,9 @@ use sqp_net::{
     EndpointConfig, NetClient, NetError, NetServer, RemoteConfig, RemoteEngine, RemoteOutcome,
     ServerConfig,
 };
-use sqp_serve::{EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, TrainingConfig};
+use sqp_serve::{
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeError, ServeSurface, TrainingConfig,
+};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
@@ -167,7 +174,11 @@ fn remote_engine_recovers_across_same_port_server_restart() {
         }
     }
     assert_eq!(degraded_seen, 5);
-    let down = remote.endpoint_breaker(0);
+    assert_eq!(
+        remote.try_suggest(5, 1, 2_000),
+        Err(ServeError::Unavailable)
+    );
+    let down = remote.endpoint_breaker(0).expect("endpoint 0");
     assert!(down.trips >= 1, "breaker must have tripped: {down:?}");
 
     // Revive on the SAME port, then let breaker cooldown + half-open
@@ -189,7 +200,7 @@ fn remote_engine_recovers_across_same_port_server_restart() {
         RemoteOutcome::Answered(s) => assert_eq!(s[0].query, "weather tomorrow"),
         other => panic!("revived endpoint must answer, got {other:?}"),
     }
-    let up = remote.endpoint_breaker(0);
+    let up = remote.endpoint_breaker(0).expect("endpoint 0");
     assert_eq!(up.state, BreakerState::Closed);
     assert!(up.recoveries >= 1, "half-open probe must have closed it");
 
@@ -197,4 +208,56 @@ fn remote_engine_recovers_across_same_port_server_restart() {
     assert!(stats.degraded >= 5);
     assert!(stats.reconnects >= 1, "recovery implies a fresh connection");
     server.shutdown();
+}
+
+fn remote_over(servers: &[&NetServer]) -> RemoteEngine {
+    let endpoints = servers
+        .iter()
+        .map(|s| EndpointConfig::serve_only(s.serve_addr()))
+        .collect();
+    RemoteEngine::connect(endpoints, RemoteConfig::default())
+}
+
+#[test]
+fn a_draining_replica_refuses_new_sessions_typed_over_the_wire() {
+    let engine = test_engine();
+    let server = NetServer::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let remote = remote_over(&[&server]);
+    assert!(remote.track(1, "weather", 1_000).unwrap().new_session);
+    engine.set_draining(true);
+
+    assert_eq!(remote.track(2, "weather", 1_010), Err(ServeError::Draining));
+    // TRACK_SUGGEST has one reply type, so the same refusal reaches a
+    // remote caller as no suggestions; the draining engine counts both.
+    let refused = remote.try_track_and_suggest(3, "weather", 1, 1_010);
+    assert_eq!(refused, Ok(vec![]));
+    assert_eq!(engine.drain_refused(), 2);
+    assert_eq!(engine.stats().active_sessions, 1, "refusals record nothing");
+
+    // The resident session keeps being served.
+    let resident = remote.track(1, "weather", 1_020).unwrap();
+    assert_eq!((resident.new_session, resident.context_len), (false, 2));
+    let got = remote.try_track_and_suggest(1, "weather", 1, 1_030);
+    assert_eq!(got.unwrap()[0].query, "weather tomorrow");
+
+    remote.drain_pools();
+    server.shutdown();
+}
+
+#[test]
+fn surface_stats_report_the_minimum_generation_across_endpoints() {
+    let (a, b) = (test_engine(), test_engine());
+    let server_a = NetServer::start(Arc::clone(&a), ServerConfig::default()).unwrap();
+    let server_b = NetServer::start(Arc::clone(&b), ServerConfig::default()).unwrap();
+    let remote = remote_over(&[&server_a, &server_b]);
+
+    a.publish(a.snapshot());
+    assert_eq!(remote.stats().publishes, 0, "b has seen no publish yet");
+    a.publish(a.snapshot());
+    b.publish(b.snapshot());
+    assert_eq!(remote.stats().publishes, 1, "a is at 2, b at 1");
+
+    remote.drain_pools();
+    server_a.shutdown();
+    server_b.shutdown();
 }

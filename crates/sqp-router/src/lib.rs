@@ -9,11 +9,13 @@
 //!   replica ids: sticky per user, ~1/N remapping under resize, no
 //!   `RandomState` anywhere (routing survives restarts and agrees across
 //!   processes);
-//! * [`RouterEngine`] — owns N independently locked replicas, exposes the
-//!   single engine's serve surface (`track_and_suggest`, `suggest_batch`,
-//!   `try_track_and_suggest`, …) so callers promote transparently, and
-//!   adds per-replica publication ([`RouterEngine::publish_to`]) with
-//!   quarantine marks — the primitives rolling upgrades are built from;
+//! * [`RouterEngine`] — owns N independently locked replicas, implements
+//!   the single engine's [`ServeSurface`](sqp_serve::ServeSurface) so
+//!   callers promote transparently, and adds per-replica publication
+//!   ([`RouterEngine::publish_to`]) with quarantine marks — the primitives
+//!   rolling upgrades are built from. Every by-id verb answers
+//!   [`MembershipError::UnknownReplica`] for an id that has left the tier;
+//!   none panics;
 //! * [`RouterStats`] — per-replica generation/health/shed introspection
 //!   plus the generation envelope (min/max/skew) an operator watches
 //!   during a roll.

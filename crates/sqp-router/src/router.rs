@@ -58,9 +58,10 @@
 use crate::ring::{HashRing, WouldEmptyRing, DEFAULT_VNODES};
 use sqp_common::hash::fx_hash_one;
 use sqp_serve::{
-    EngineConfig, EngineStats, ModelSnapshot, Overloaded, ServeEngine, ServeSurface,
+    EngineConfig, EngineStats, ModelSnapshot, ServeEngine, ServeError, ServeSurface,
     SuggestRequest, Suggestion, Swap, TrackOutcome,
 };
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -415,21 +416,31 @@ impl RouterEngine {
     }
 
     /// Direct handle to the replica with `id` (for tests and publication
-    /// paths). The handle stays valid after the replica leaves the tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no live replica has this id.
-    pub fn replica(&self, id: usize) -> Arc<ServeEngine> {
+    /// paths), or `None` when no live replica has it. The handle stays
+    /// valid after the replica leaves the tier.
+    pub fn replica(&self, id: usize) -> Option<Arc<ServeEngine>> {
+        self.with_slot(id, |slot| Arc::clone(&slot.engine)).ok()
+    }
+
+    /// Run `f` on the slot of live replica `id`, resolved against the
+    /// **current** membership: an id is not a handle, and the replica it
+    /// names may have retired meanwhile, in which case nothing runs.
+    fn with_slot<T>(
+        &self,
+        id: usize,
+        f: impl FnOnce(&ReplicaSlot) -> T,
+    ) -> Result<T, MembershipError> {
         let state = self.state();
         let slot = state
             .slot(id as u32)
-            .unwrap_or_else(|| panic!("no live replica with id {id}"));
-        Arc::clone(&slot.engine)
+            .ok_or(MembershipError::UnknownReplica(id as u32))?;
+        Ok(f(slot))
     }
 
     /// Record a query issued by `user` at `now` on their home replica.
-    pub fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
+    /// [`ServeError::Draining`] when the home replica refuses a new
+    /// session (a straggler routed by a pre-drain membership view).
+    pub fn track(&self, user: u64, query: &str, now: u64) -> Result<TrackOutcome, ServeError> {
         self.state().slot_for(user).engine.track(user, query, now)
     }
 
@@ -448,32 +459,6 @@ impl RouterEngine {
             .track_and_suggest(user, query, k, now)
     }
 
-    /// Admission-controlled [`track_and_suggest`](Self::track_and_suggest):
-    /// the home replica's in-flight budget decides, so overload on one
-    /// replica sheds only its own users.
-    pub fn try_track_and_suggest(
-        &self,
-        user: u64,
-        query: &str,
-        k: usize,
-        now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        self.state()
-            .slot_for(user)
-            .engine
-            .try_track_and_suggest(user, query, k, now)
-    }
-
-    /// Admission-controlled [`suggest`](Self::suggest).
-    pub fn try_suggest(
-        &self,
-        user: u64,
-        k: usize,
-        now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        self.state().slot_for(user).engine.try_suggest(user, k, now)
-    }
-
     /// Batched suggestion across the tier: requests are scattered to each
     /// user's home replica (preserving request order within each
     /// sub-batch, so same-replica callers keep the single engine's stripe
@@ -481,47 +466,28 @@ impl RouterEngine {
     /// Each sub-batch runs against exactly one replica snapshot, so every
     /// entry's suggestions are wholly from one model even mid-roll; the
     /// whole batch runs against exactly one membership view, loaded once.
+    /// Unadmitted; [`ServeSurface::try_suggest_batch`] is the admitted form.
     pub fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        let state = self.state();
-        // Fast path: a single-replica tier is just the engine.
-        if state.slots.len() == 1 {
-            return state.slots[0].engine.suggest_batch(requests, now);
-        }
-        let mut per_slot: Vec<Vec<usize>> = vec![Vec::new(); state.slots.len()];
-        for (at, request) in requests.iter().enumerate() {
-            let id = state.ring.route(request.user);
-            per_slot[state.slot_index(id).expect("routed id has a slot")].push(at);
-        }
-        let mut out: Vec<Vec<Suggestion>> = vec![Vec::new(); requests.len()];
-        let mut sub: Vec<SuggestRequest> = Vec::new();
-        for (slot, members) in state.slots.iter().zip(&per_slot) {
-            if members.is_empty() {
-                continue;
-            }
-            sub.clear();
-            sub.extend(members.iter().map(|&at| requests[at]));
-            let answers = slot.engine.suggest_batch(&sub, now);
-            for (&at, answer) in members.iter().zip(answers) {
-                out[at] = answer;
-            }
-        }
+        let Ok(out) = self.scatter_gather(requests, |engine, sub| {
+            Ok::<_, Infallible>(engine.suggest_batch(sub, now))
+        });
         out
     }
 
-    /// Admission-controlled [`suggest_batch`](Self::suggest_batch),
-    /// all-or-nothing: each involved replica's sub-batch costs one of its
-    /// permits, and the first replica that sheds fails the whole call (the
-    /// answers already computed by earlier replicas are discarded, so the
-    /// caller never merges partial answers with partial sheds). Uninvolved
-    /// replicas spend nothing.
-    pub fn try_suggest_batch(
+    /// Scatter `requests` to their home replicas, run `batch` once per
+    /// involved replica, and gather the answers back into request order.
+    /// The first replica whose `batch` fails fails the whole call (answers
+    /// already computed elsewhere are discarded), and uninvolved replicas
+    /// are never called.
+    fn scatter_gather<E>(
         &self,
         requests: &[SuggestRequest],
-        now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
+        batch: impl Fn(&ServeEngine, &[SuggestRequest]) -> Result<Vec<Vec<Suggestion>>, E>,
+    ) -> Result<Vec<Vec<Suggestion>>, E> {
         let state = self.state();
+        // Fast path: a single-replica tier is just the engine.
         if state.slots.len() == 1 {
-            return state.slots[0].engine.try_suggest_batch(requests, now);
+            return batch(&state.slots[0].engine, requests);
         }
         let mut per_slot: Vec<Vec<usize>> = vec![Vec::new(); state.slots.len()];
         for (at, request) in requests.iter().enumerate() {
@@ -536,7 +502,7 @@ impl RouterEngine {
             }
             sub.clear();
             sub.extend(members.iter().map(|&at| requests[at]));
-            let answers = slot.engine.try_suggest_batch(&sub, now)?;
+            let answers = batch(&slot.engine, &sub)?;
             for (&at, answer) in members.iter().zip(answers) {
                 out[at] = answer;
             }
@@ -547,9 +513,10 @@ impl RouterEngine {
     /// The tier's counters and gauges folded into one [`EngineStats`]:
     /// counters (tracks, suggests, shed, evictions) and the session gauge
     /// sum across replicas, while `publishes` reports the *minimum* replica
-    /// generation — the fully-propagated trailing edge, matching what
-    /// [`ServeSurface::generation`](sqp_serve::ServeSurface::generation)
-    /// reports for a tier. Per-replica detail stays in [`Self::stats`].
+    /// generation — the fully-propagated trailing edge
+    /// ([`RouterStats::min_generation`]). This is what
+    /// [`ServeSurface::stats`] reports for a tier; per-replica detail stays
+    /// in [`Self::stats`].
     pub fn aggregate_stats(&self) -> EngineStats {
         let state = self.state();
         let mut folded = EngineStats::default();
@@ -615,88 +582,66 @@ impl RouterEngine {
     }
 
     /// Publish to the single replica with `id` (one atomic swap) and mark
-    /// it active. This is the step primitive rolling upgrades are built
-    /// from. Returns the replica's new (tier-comparable) generation.
-    /// Publishers running concurrently with membership changes use
-    /// [`try_publish_to`](Self::try_publish_to) instead — an id is not a
-    /// handle, and the replica it names may retire between resolutions.
+    /// it active — the step primitive rolling upgrades are built from.
+    /// Returns the replica's new (tier-comparable) generation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no live replica has this id.
-    pub fn publish_to(&self, id: usize, snapshot: Arc<ModelSnapshot>) -> u64 {
-        self.try_publish_to(id, snapshot)
-            .unwrap_or_else(|| panic!("no live replica with id {id}"))
-    }
-
-    /// Fallible [`publish_to`](Self::publish_to): resolves `id` against
-    /// the **current** membership and returns `None` — touching nothing —
-    /// when no live replica has it (retired or removed by a concurrent
-    /// membership change). The publication path a rolling upgrade uses,
-    /// because a roll takes no membership lock and the tier may shrink
-    /// under it.
-    pub fn try_publish_to(&self, id: usize, snapshot: Arc<ModelSnapshot>) -> Option<u64> {
-        let state = self.state();
-        let slot = state.slot(id as u32)?;
-        slot.engine.publish(snapshot);
-        Self::lock_health_slot(slot).quarantined = false;
-        Some(slot.generation())
+    /// [`MembershipError::UnknownReplica`], touching nothing, when no live
+    /// replica has `id` — a roll takes no membership lock, so the tier may
+    /// shrink under it.
+    pub fn publish_to(
+        &self,
+        id: usize,
+        snapshot: Arc<ModelSnapshot>,
+    ) -> Result<u64, MembershipError> {
+        self.with_slot(id, |slot| {
+            slot.engine.publish(snapshot);
+            Self::lock_health_slot(slot).quarantined = false;
+            slot.generation()
+        })
     }
 
     /// Pin the replica with `id` on its current (last-good) snapshot and
     /// record why its publication failed. The replica keeps serving —
     /// quarantine is a publication-side state, not a traffic stop.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no live replica has this id.
-    pub fn mark_quarantined(&self, id: usize, error: impl Into<String>) {
-        if !self.try_mark_quarantined(id, error) {
-            panic!("no live replica with id {id}");
-        }
-    }
-
-    /// Fallible [`mark_quarantined`](Self::mark_quarantined): returns
-    /// whether `id` still named a live replica (and was marked). A
-    /// replica that left the tier mid-roll has nothing to quarantine.
-    pub fn try_mark_quarantined(&self, id: usize, error: impl Into<String>) -> bool {
-        let state = self.state();
-        let Some(slot) = state.slot(id as u32) else {
-            return false;
-        };
-        let mut health = Self::lock_health_slot(slot);
-        health.quarantined = true;
-        health.last_error = Some(error.into());
-        true
+    /// [`MembershipError::UnknownReplica`] when no live replica has `id`
+    /// (one that left the tier mid-roll has nothing to quarantine).
+    pub fn mark_quarantined(
+        &self,
+        id: usize,
+        error: impl Into<String>,
+    ) -> Result<(), MembershipError> {
+        self.with_slot(id, |slot| {
+            let mut health = Self::lock_health_slot(slot);
+            health.quarantined = true;
+            health.last_error = Some(error.into());
+        })
     }
 
     /// Clear the quarantine on replica `id` without publishing (operator
     /// override). The last error is kept for forensics until the next
     /// successful publish.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no live replica has this id.
-    pub fn mark_active(&self, id: usize) {
-        let state = self.state();
-        let slot = state
-            .slot(id as u32)
-            .unwrap_or_else(|| panic!("no live replica with id {id}"));
-        Self::lock_health_slot(slot).quarantined = false;
+    /// [`MembershipError::UnknownReplica`] when no live replica has `id`.
+    pub fn mark_active(&self, id: usize) -> Result<(), MembershipError> {
+        self.with_slot(id, |slot| {
+            Self::lock_health_slot(slot).quarantined = false;
+        })
     }
 
-    /// True when replica `id` is quarantined.
+    /// Whether replica `id` is quarantined.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no live replica has this id.
-    pub fn is_quarantined(&self, id: usize) -> bool {
-        let state = self.state();
-        let slot = state
-            .slot(id as u32)
-            .unwrap_or_else(|| panic!("no live replica with id {id}"));
-        let quarantined = Self::lock_health_slot(slot).quarantined;
-        quarantined
+    /// [`MembershipError::UnknownReplica`] when no live replica has `id`.
+    pub fn is_quarantined(&self, id: usize) -> Result<bool, MembershipError> {
+        self.with_slot(id, |slot| Self::lock_health_slot(slot).quarantined)
     }
 
     fn lock_health_slot(slot: &ReplicaSlot) -> std::sync::MutexGuard<'_, Health> {
@@ -935,17 +880,18 @@ impl RouterEngine {
 
 /// The router speaks the same [`ServeSurface`] as a single engine, so the
 /// network front-end (`sqp-net`) and the stress harness
-/// (`sqp-bench::serve_loop`) run unchanged on a replicated tier. Every
-/// method delegates to the inherent routed implementation; the
-/// tier-summary accessors report the trailing edge
-/// ([`RouterStats::min_generation`]) and fold counters across replicas
+/// (`sqp-bench::serve_loop`) run unchanged on a replicated tier. Each call
+/// is admitted by the home replica's own budget, so overload on one
+/// replica sheds only its own users; stats fold counters across replicas
+/// and report the trailing-edge generation
 /// ([`RouterEngine::aggregate_stats`]).
 impl ServeSurface for RouterEngine {
-    fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
+    fn track(&self, user: u64, query: &str, now: u64) -> Result<TrackOutcome, ServeError> {
         RouterEngine::track(self, user, query, now)
     }
-    fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
-        RouterEngine::track_and_suggest(self, user, query, k, now)
+    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, ServeError> {
+        let state = self.state();
+        state.slot_for(user).engine.try_suggest(user, k, now)
     }
     fn try_track_and_suggest(
         &self,
@@ -953,21 +899,22 @@ impl ServeSurface for RouterEngine {
         query: &str,
         k: usize,
         now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        RouterEngine::try_track_and_suggest(self, user, query, k, now)
+    ) -> Result<Vec<Suggestion>, ServeError> {
+        let state = self.state();
+        state
+            .slot_for(user)
+            .engine
+            .try_track_and_suggest(user, query, k, now)
     }
-    fn try_suggest(&self, user: u64, k: usize, now: u64) -> Result<Vec<Suggestion>, Overloaded> {
-        RouterEngine::try_suggest(self, user, k, now)
-    }
-    fn suggest_batch(&self, requests: &[SuggestRequest], now: u64) -> Vec<Vec<Suggestion>> {
-        RouterEngine::suggest_batch(self, requests, now)
-    }
+    /// All-or-nothing: each involved replica's sub-batch costs one of its
+    /// permits, and the first replica that sheds fails the whole call.
+    /// Uninvolved replicas spend nothing.
     fn try_suggest_batch(
         &self,
         requests: &[SuggestRequest],
         now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
-        RouterEngine::try_suggest_batch(self, requests, now)
+    ) -> Result<Vec<Vec<Suggestion>>, ServeError> {
+        self.scatter_gather(requests, |engine, sub| engine.try_suggest_batch(sub, now))
     }
     fn evict_idle(&self, now: u64) -> usize {
         RouterEngine::evict_idle(self, now)
@@ -975,14 +922,8 @@ impl ServeSurface for RouterEngine {
     fn publish(&self, snapshot: Arc<ModelSnapshot>) -> u64 {
         RouterEngine::publish(self, snapshot)
     }
-    fn generation(&self) -> u64 {
-        self.stats().min_generation()
-    }
     fn stats(&self) -> EngineStats {
         self.aggregate_stats()
-    }
-    fn active_sessions(&self) -> usize {
-        RouterEngine::active_sessions(self)
     }
 }
 
@@ -1032,11 +973,11 @@ mod tests {
         for user in 0..200u64 {
             assert_eq!(r.replica_for(user), r.replica_for(user));
         }
-        r.track(7, "start", 100);
+        r.track(7, "start", 100).unwrap();
         let home = r.replica_for(7);
         // The session context exists only on the home replica.
         for id in r.replica_ids() {
-            let context = r.replica(id as usize).tracker().context(7, 110);
+            let context = r.replica(id as usize).unwrap().tracker().context(7, 110);
             if id as usize == home {
                 assert_eq!(context, vec!["start"]);
             } else {
@@ -1050,7 +991,7 @@ mod tests {
     fn batch_matches_individual_calls_across_replicas() {
         let r = router(4);
         for user in 0..64 {
-            r.track(user, "start", 100);
+            r.track(user, "start", 100).unwrap();
         }
         let requests: Vec<SuggestRequest> = (0..64)
             .chain([999]) // never tracked
@@ -1072,7 +1013,7 @@ mod tests {
     #[test]
     fn fan_out_publish_converges_every_replica() {
         let r = router(3);
-        r.track(1, "start", 100);
+        r.track(1, "start", 100).unwrap();
         assert_eq!(r.publish(snapshot("new")), 1);
         let stats = r.stats();
         assert!(stats.is_converged());
@@ -1083,7 +1024,7 @@ mod tests {
     #[test]
     fn per_replica_publish_creates_and_reports_skew() {
         let r = router(3);
-        r.publish_to(0, snapshot("new"));
+        r.publish_to(0, snapshot("new")).unwrap();
         let stats = r.stats();
         assert_eq!(stats.min_generation(), 0);
         assert_eq!(stats.max_generation(), 1);
@@ -1094,8 +1035,8 @@ mod tests {
     #[test]
     fn quarantine_marks_report_and_publish_clears() {
         let r = router(2);
-        r.mark_quarantined(1, "checksum mismatch");
-        assert!(r.is_quarantined(1));
+        r.mark_quarantined(1, "checksum mismatch").unwrap();
+        assert!(r.is_quarantined(1).unwrap());
         let stats = r.stats();
         assert_eq!(stats.quarantined(), 1);
         assert_eq!(
@@ -1103,14 +1044,14 @@ mod tests {
             Some("checksum mismatch")
         );
         // A quarantined replica still serves.
-        r.track(2, "start", 100);
+        r.track(2, "start", 100).unwrap();
         let home = r.replica_for(2);
-        r.mark_quarantined(home, "still serving?");
+        r.mark_quarantined(home, "still serving?").unwrap();
         assert_eq!(r.suggest(2, 1, 110)[0].query, "old::next");
         // Publishing good bytes lifts the quarantine.
-        r.publish_to(1, snapshot("new"));
-        assert!(!r.is_quarantined(1));
-        r.mark_active(home);
+        r.publish_to(1, snapshot("new")).unwrap();
+        assert!(!r.is_quarantined(1).unwrap());
+        r.mark_active(home).unwrap();
         assert_eq!(r.stats().quarantined(), 0);
     }
 
@@ -1129,9 +1070,12 @@ mod tests {
         );
         // Saturate user 1's home replica only.
         let home = r.replica_for(1);
-        let home_engine = r.replica(home);
+        let home_engine = r.replica(home).unwrap();
         let _permit = home_engine.admit().unwrap();
-        assert!(r.try_track_and_suggest(1, "start", 1, 100).is_err());
+        assert_eq!(
+            r.try_track_and_suggest(1, "start", 1, 100),
+            Err(ServeError::Overloaded { limit: 1 })
+        );
         // A user on the *other* replica is unaffected.
         let other_user = (0..u64::MAX)
             .find(|&u| r.replica_for(u) != home)
@@ -1154,7 +1098,7 @@ mod tests {
             },
         );
         for user in 0..24 {
-            r.track(user, "start", 100);
+            r.track(user, "start", 100).unwrap();
         }
         let requests: Vec<SuggestRequest> =
             (0..24).map(|user| SuggestRequest { user, k: 1 }).collect();
@@ -1163,22 +1107,21 @@ mod tests {
         assert!(ok.iter().all(|s| s[0].query == "old::next"));
         // Saturate one involved replica: the whole batch sheds.
         let home = r.replica_for(requests[0].user);
-        let home_engine = r.replica(home);
+        let home_engine = r.replica(home).unwrap();
         let _permit = home_engine.admit().unwrap();
         assert!(r.try_suggest_batch(&requests, 130).is_err());
 
         // Aggregated stats fold counters and report the trailing edge.
-        r.publish_to(0, snapshot("new"));
+        r.publish_to(0, snapshot("new")).unwrap();
         let folded = r.aggregate_stats();
         assert_eq!(folded.publishes, 0, "tier not fully propagated yet");
         assert_eq!(folded.tracks, 24);
         assert_eq!(folded.active_sessions, 24);
         assert_eq!(folded.shed, 1);
         let surface: &dyn ServeSurface = &r;
-        assert_eq!(surface.generation(), 0);
-        surface.publish(snapshot("new"));
-        assert_eq!(surface.generation(), r.stats().min_generation());
-        assert_eq!(surface.stats().publishes, surface.generation());
+        assert_eq!(surface.stats().publishes, 0);
+        assert_eq!(surface.publish(snapshot("new")), 1);
+        assert_eq!(surface.stats().publishes, r.stats().min_generation());
     }
 
     /// Compile-time audit (mirrors sqp-serve's): the tier is shareable
@@ -1196,7 +1139,7 @@ mod tests {
     fn eviction_and_residency_aggregate() {
         let r = router(4);
         for user in 0..50 {
-            r.track(user, "start", 0);
+            r.track(user, "start", 0).unwrap();
         }
         assert_eq!(r.active_sessions(), 50);
         assert_eq!(r.evict_idle(u64::MAX / 2), 50);
@@ -1225,7 +1168,7 @@ mod tests {
     fn join_moves_exactly_the_remapped_users_with_contexts_intact() {
         let r = router(3);
         for user in 0..300u64 {
-            r.track(user, "start", 100);
+            r.track(user, "start", 100).unwrap();
         }
         let before: Vec<usize> = (0..300u64).map(|u| r.replica_for(u)).collect();
         let report = r.join_replica(120);
@@ -1255,7 +1198,7 @@ mod tests {
     fn join_seeds_from_the_freshest_replica_and_offsets_generation() {
         let r = router(2);
         r.publish(snapshot("new"));
-        r.publish_to(0, snapshot("newer"));
+        r.publish_to(0, snapshot("newer")).unwrap();
         // Tier: replica 0 at gen 2, replica 1 at gen 1.
         let report = r.join_replica(10);
         let stats = r.stats();
@@ -1274,7 +1217,7 @@ mod tests {
         let user = (0..u64::MAX)
             .find(|&u| r.replica_for(u) == report.replica as usize)
             .unwrap();
-        r.track(user, "start", 20);
+        r.track(user, "start", 20).unwrap();
         assert_eq!(r.suggest(user, 1, 30)[0].query, "newer::next");
     }
 
@@ -1282,7 +1225,7 @@ mod tests {
     fn drain_hands_sessions_off_and_retire_drops_the_slot() {
         let r = router(3);
         for user in 0..200u64 {
-            r.track(user, "start", 100);
+            r.track(user, "start", 100).unwrap();
         }
         let victims: Vec<u64> = (0..200u64).filter(|&u| r.replica_for(u) == 1).collect();
         assert!(!victims.is_empty());
@@ -1301,7 +1244,7 @@ mod tests {
             );
         }
         // The draining replica refuses new sessions but serves old ones.
-        let engine = r.replica(1);
+        let engine = r.replica(1).unwrap();
         assert!(engine.is_draining());
         // Retire cannot be skipped past drain.
         assert_eq!(r.retire_replica(0), Err(MembershipError::NotDraining(0)));
@@ -1316,7 +1259,7 @@ mod tests {
     fn remove_without_drain_loses_only_the_remapped_set() {
         let r = router(4);
         for user in 0..400u64 {
-            r.track(user, "start", 100);
+            r.track(user, "start", 100).unwrap();
         }
         let lost: Vec<u64> = (0..400u64).filter(|&u| r.replica_for(u) == 2).collect();
         r.remove_replica(2).unwrap();
@@ -1374,14 +1317,32 @@ mod tests {
     #[test]
     fn try_variants_are_no_ops_on_a_departed_replica() {
         let r = router(3);
-        r.remove_replica(2).unwrap();
-        assert_eq!(r.try_publish_to(2, snapshot("new")), None);
-        assert!(!r.try_mark_quarantined(2, "late quarantine"));
-        assert_eq!(r.stats().quarantined(), 0, "departed id must mark nothing");
-        // On a live replica the try forms behave exactly like the verbs.
-        assert_eq!(r.try_publish_to(0, snapshot("new")), Some(1));
-        assert!(r.try_mark_quarantined(1, "bad bytes"));
-        assert!(r.is_quarantined(1));
+        r.mark_quarantined(2, "before retirement").unwrap();
+        r.begin_drain(2, 0).unwrap();
+        r.retire_replica(2).unwrap();
+        let before = r.stats();
+        let gone = Err(MembershipError::UnknownReplica(2));
+        assert_eq!(r.publish_to(2, snapshot("new")), gone);
+        assert_eq!(r.mark_quarantined(2, "late quarantine"), gone.map(|_| ()));
+        assert_eq!(r.mark_active(2), gone.map(|_| ()));
+        assert_eq!(r.is_quarantined(2), gone.map(|_| false));
+        assert!(r.replica(2).is_none());
+        // Nothing changed: no replica was published to or (un)marked.
+        let after = r.stats();
+        assert_eq!(after.replica_ids, before.replica_ids);
+        assert_eq!(after.ring_generation, before.ring_generation);
+        for (a, b) in after.replicas.iter().zip(&before.replicas) {
+            assert_eq!(
+                (a.generation, a.quarantined, &a.last_error),
+                (b.generation, b.quarantined, &b.last_error)
+            );
+        }
+        // On a live replica the same verbs act.
+        assert_eq!(r.publish_to(0, snapshot("new")), Ok(1));
+        assert_eq!(r.mark_quarantined(1, "bad bytes"), Ok(()));
+        assert_eq!(r.is_quarantined(1), Ok(true));
+        assert_eq!(r.mark_active(1), Ok(()));
+        assert_eq!(r.is_quarantined(1), Ok(false));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use crate::session::{SessionTracker, TrackOutcome, TrackerConfig};
 use crate::snapshot::{ModelSnapshot, Suggestion};
+use crate::surface::ServeError;
 use crate::swap::Swap;
 use sqp_common::hazard::{Hazard, NoHazard};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,34 +34,11 @@ pub struct EngineConfig {
     /// Session-tracker sizing and eviction parameters.
     pub tracker: TrackerConfig,
     /// Admission-control budget: maximum requests simultaneously in flight
-    /// through the `try_*` serve paths before [`ServeEngine::admit`] sheds
-    /// with [`Overloaded`]. `0` (the default) disables the limit.
+    /// through the [`ServeSurface`](crate::ServeSurface) serve calls before
+    /// [`ServeEngine::admit`] sheds with [`ServeError::Overloaded`]. `0`
+    /// (the default) disables the limit.
     pub max_in_flight: usize,
 }
-
-/// Typed rejection from [`ServeEngine::admit`]: the in-flight budget is
-/// exhausted and the request was shed instead of queued.
-///
-/// Shedding is deliberate back-pressure — under overload, answering fewer
-/// requests quickly beats answering all of them late. Callers translate
-/// this into their transport's "retry later" (HTTP 503 + Retry-After).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Overloaded {
-    /// The configured budget that was exhausted.
-    pub limit: usize,
-}
-
-impl std::fmt::Display for Overloaded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "serve engine overloaded ({} requests in flight)",
-            self.limit
-        )
-    }
-}
-
-impl std::error::Error for Overloaded {}
 
 /// RAII admission token from [`ServeEngine::admit`]; the in-flight slot is
 /// released when the permit drops (including on panic, so an injected
@@ -132,7 +110,7 @@ pub struct EngineStats {
 /// let snapshot = Arc::new(ModelSnapshot::from_raw_logs(&records, &cfg));
 /// let engine = ServeEngine::new(snapshot, EngineConfig::default());
 ///
-/// engine.track(42, "rust", 1_000);
+/// engine.track(42, "rust", 1_000).unwrap();
 /// let top = engine.suggest(42, 3, 1_010);
 /// assert_eq!(top[0].query, "rust atomics");
 /// ```
@@ -198,9 +176,7 @@ impl ServeEngine {
     /// A draining engine keeps serving every **existing** live session —
     /// tracks, suggests, batches — but refuses any track that would start
     /// a **new** session (first contact, or a return past the idle
-    /// cutoff). A refused track returns the sentinel outcome
-    /// `TrackOutcome { new_session: false, context_len: 0 }` (impossible
-    /// for an admitted track, which always has `context_len ≥ 1`) and is
+    /// cutoff). A refused track returns [`ServeError::Draining`] and is
     /// counted in [`ServeEngine::drain_refused`]. This is the serve-layer
     /// half of a membership drain: routing stops sending new users here,
     /// and stragglers cannot take root while the replica winds down.
@@ -220,27 +196,25 @@ impl ServeEngine {
         self.drain_refused.load(Ordering::Relaxed)
     }
 
-    /// The sentinel outcome for a track refused by draining mode.
-    fn refuse_drain(&self) -> TrackOutcome {
+    /// Count a track refused by draining mode.
+    fn refuse_drain(&self) -> ServeError {
         self.drain_refused.fetch_add(1, Ordering::Relaxed);
-        TrackOutcome {
-            new_session: false,
-            context_len: 0,
-        }
+        ServeError::Draining
     }
 
-    /// Reserve an in-flight slot, or shed with [`Overloaded`] when the
-    /// configured budget (`max_in_flight`, 0 = unlimited) is exhausted. The
-    /// returned permit releases the slot on drop — hold it across the work
-    /// the admission should cover. The `try_*` serve methods bundle this;
+    /// Reserve an in-flight slot, or shed with [`ServeError::Overloaded`]
+    /// when the configured budget (`max_in_flight`, 0 = unlimited) is
+    /// exhausted. The returned permit releases the slot on drop — hold it
+    /// across the work the admission should cover. The
+    /// [`ServeSurface`](crate::ServeSurface) serve calls bundle this;
     /// `admit` is public for callers wrapping their own request pipelines.
-    pub fn admit(&self) -> Result<InFlightPermit<'_>, Overloaded> {
+    pub fn admit(&self) -> Result<InFlightPermit<'_>, ServeError> {
         let occupied = self.in_flight.fetch_add(1, Ordering::AcqRel);
         if self.max_in_flight != 0 && occupied >= self.max_in_flight as u64 {
             // Roll back the optimistic reservation and count the shed.
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
             self.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(Overloaded {
+            return Err(ServeError::Overloaded {
                 limit: self.max_in_flight,
             });
         }
@@ -254,52 +228,18 @@ impl ServeEngine {
         self.in_flight.load(Ordering::Acquire)
     }
 
-    /// Admission-controlled [`suggest`](Self::suggest).
-    pub fn try_suggest(
-        &self,
-        user: u64,
-        k: usize,
-        now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        let _permit = self.admit()?;
-        Ok(self.suggest(user, k, now))
-    }
-
-    /// Admission-controlled [`track_and_suggest`](Self::track_and_suggest).
-    pub fn try_track_and_suggest(
-        &self,
-        user: u64,
-        query: &str,
-        k: usize,
-        now: u64,
-    ) -> Result<Vec<Suggestion>, Overloaded> {
-        let _permit = self.admit()?;
-        Ok(self.track_and_suggest(user, query, k, now))
-    }
-
-    /// Admission-controlled [`suggest_batch`](Self::suggest_batch). The
-    /// whole batch costs one permit: it shares one snapshot load and its
-    /// buffers, so per-entry admission would overcount its footprint.
-    pub fn try_suggest_batch(
-        &self,
-        requests: &[SuggestRequest],
-        now: u64,
-    ) -> Result<Vec<Vec<Suggestion>>, Overloaded> {
-        let _permit = self.admit()?;
-        Ok(self.suggest_batch(requests, now))
-    }
-
     /// Record a query issued by `user` at `now` (seconds since any fixed
-    /// epoch — only gaps matter).
-    pub fn track(&self, user: u64, query: &str, now: u64) -> TrackOutcome {
+    /// epoch — only gaps matter). [`ServeError::Draining`] when a draining
+    /// engine refuses a new session.
+    pub fn track(&self, user: u64, query: &str, now: u64) -> Result<TrackOutcome, ServeError> {
         self.tracks.fetch_add(1, Ordering::Relaxed);
         if self.is_draining() {
-            return match self.tracker.track_existing(user, query, now) {
-                Some(outcome) => outcome,
-                None => self.refuse_drain(),
-            };
+            return self
+                .tracker
+                .track_existing(user, query, now)
+                .ok_or_else(|| self.refuse_drain());
         }
-        self.tracker.track(user, query, now)
+        Ok(self.tracker.track(user, query, now))
     }
 
     /// Top-`k` suggestions for `user`'s tracked session. Empty when the
@@ -312,11 +252,24 @@ impl ServeEngine {
     }
 
     /// Record `query` for `user` and immediately suggest against the
-    /// updated context — the common search-box round trip. One snapshot
-    /// load and one stripe acquisition: the context is updated and resolved
-    /// to ids in the same critical section, and model inference runs after
-    /// the lock is released.
+    /// updated context — the common search-box round trip, unadmitted. A
+    /// draining engine's refusal of a new session answers empty here; the
+    /// admitted `ServeSurface::try_track_and_suggest` reports it typed.
     pub fn track_and_suggest(&self, user: u64, query: &str, k: usize, now: u64) -> Vec<Suggestion> {
+        self.track_suggest(user, query, k, now).unwrap_or_default()
+    }
+
+    /// [`track_and_suggest`](Self::track_and_suggest) with the draining
+    /// refusal typed. One snapshot load and one stripe acquisition: the
+    /// context is updated and resolved to ids in the same critical
+    /// section, and model inference runs after the lock is released.
+    pub(crate) fn track_suggest(
+        &self,
+        user: u64,
+        query: &str,
+        k: usize,
+        now: u64,
+    ) -> Result<Vec<Suggestion>, ServeError> {
         self.tracks.fetch_add(1, Ordering::Relaxed);
         self.suggests.fetch_add(1, Ordering::Relaxed);
         let snapshot = self.current.load();
@@ -339,8 +292,7 @@ impl ServeEngine {
                 });
                 if !live {
                     drop(shard);
-                    self.refuse_drain();
-                    return Vec::new();
+                    return Err(self.refuse_drain());
                 }
             }
             let (_, state, inserted) = shard.track(user, query, now, self.tracker.config());
@@ -348,13 +300,13 @@ impl ServeEngine {
             snapshot.resolve_context_into(state.ring.iter(), &mut ids)
         };
         if !covered {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let mut topk = Vec::new();
         snapshot.recommend_ids_into(&ids, k, &mut topk);
         let mut rendered = Vec::with_capacity(topk.len());
         snapshot.render_into(&topk, &mut rendered);
-        rendered
+        Ok(rendered)
     }
 
     /// Batched suggestion: rank every request against **one** snapshot
@@ -494,6 +446,7 @@ impl ServeEngine {
 mod tests {
     use super::*;
     use crate::snapshot::{ModelSpec, TrainingConfig};
+    use crate::surface::ServeSurface;
     use sqp_logsim::RawLogRecord;
 
     fn rec(machine: u64, ts: u64, q: &str) -> RawLogRecord {
@@ -531,7 +484,7 @@ mod tests {
     #[test]
     fn tracked_session_gets_suggestions() {
         let e = engine();
-        e.track(1, "start", 100);
+        e.track(1, "start", 100).unwrap();
         let got = e.suggest(1, 3, 110);
         assert_eq!(got[0].query, "old::next");
         assert!(e.suggest(2, 3, 110).is_empty(), "unknown user");
@@ -550,10 +503,10 @@ mod tests {
     fn batch_matches_individual_calls() {
         let e = engine();
         for u in 0..32 {
-            e.track(u, "start", 100);
+            e.track(u, "start", 100).unwrap();
         }
-        e.track(100, "start", 100);
-        e.track(100, "old::next", 160); // context uncovered for Adjacency
+        e.track(100, "start", 100).unwrap();
+        e.track(100, "old::next", 160).unwrap(); // context uncovered for Adjacency
         let reqs: Vec<SuggestRequest> = (0..32)
             .chain([100, 555]) // 555 never tracked
             .map(|user| SuggestRequest { user, k: 2 })
@@ -569,7 +522,7 @@ mod tests {
     #[test]
     fn publish_swaps_the_model_for_new_requests() {
         let e = engine();
-        e.track(1, "start", 100);
+        e.track(1, "start", 100).unwrap();
         assert_eq!(e.suggest(1, 1, 110)[0].query, "old::next");
         assert_eq!(e.generation(), 0);
         let held = e.snapshot();
@@ -599,7 +552,7 @@ mod tests {
         let p1 = e.admit().unwrap();
         let _p2 = e.admit().unwrap();
         assert_eq!(e.in_flight(), 2);
-        assert_eq!(e.admit().unwrap_err(), Overloaded { limit: 2 });
+        assert_eq!(e.admit().unwrap_err(), ServeError::Overloaded { limit: 2 });
         assert_eq!(e.stats().shed, 1);
         // Releasing a permit frees the slot.
         drop(p1);
@@ -616,7 +569,7 @@ mod tests {
         assert_eq!(e.stats().shed, 0);
         drop(permits);
         assert_eq!(e.in_flight(), 0);
-        e.track(1, "start", 100);
+        e.track(1, "start", 100).unwrap();
         assert_eq!(e.try_suggest(1, 3, 110).unwrap()[0].query, "old::next");
     }
 
@@ -659,37 +612,38 @@ mod tests {
     #[test]
     fn draining_serves_existing_sessions_and_refuses_new_ones() {
         let e = engine();
-        e.track(1, "start", 100);
+        e.track(1, "start", 100).unwrap();
         e.set_draining(true);
         assert!(e.is_draining());
         // Existing live session: still served, context still grows.
         let got = e.track_and_suggest(1, "old::next", 3, 110);
         assert!(got.is_empty(), "adjacency context of 2 is uncovered");
         assert_eq!(e.tracker().context(1, 120), vec!["start", "old::next"]);
-        // New user: the track is refused with the sentinel outcome.
-        let out = e.track(2, "start", 120);
+        // New user: refused, typed on every surface call; the unadmitted
+        // primitive answers empty.
+        assert_eq!(e.track(2, "start", 120), Err(ServeError::Draining));
+        let surface: &dyn ServeSurface = &e;
+        assert_eq!(surface.track(2, "start", 120), Err(ServeError::Draining));
         assert_eq!(
-            out,
-            TrackOutcome {
-                new_session: false,
-                context_len: 0
-            }
+            surface.try_track_and_suggest(3, "start", 3, 120),
+            Err(ServeError::Draining)
         );
         assert!(e.track_and_suggest(3, "start", 3, 120).is_empty());
-        assert_eq!(e.drain_refused(), 2);
+        assert_eq!(e.drain_refused(), 4);
         assert_eq!(e.active_sessions(), 1, "refused tracks must not insert");
-        // Suggests for existing sessions keep working while draining.
+        // Existing sessions keep being served while draining.
         assert_eq!(e.suggest(1, 3, 130).len(), 0);
-        e.track(1, "start", 140);
+        assert_eq!(surface.track(1, "start", 140).unwrap().context_len, 3);
+        assert!(surface.try_track_and_suggest(1, "start", 3, 145).is_ok());
         // Leaving draining mode re-admits new sessions.
         e.set_draining(false);
-        assert!(e.track(2, "start", 150).new_session);
+        assert!(e.track(2, "start", 150).unwrap().new_session);
     }
 
     #[test]
     fn eviction_passthrough() {
         let e = engine();
-        e.track(1, "start", 0);
+        e.track(1, "start", 0).unwrap();
         assert_eq!(e.active_sessions(), 1);
         assert_eq!(e.evict_idle(u64::MAX / 2), 1);
         assert_eq!(e.active_sessions(), 0);
@@ -698,7 +652,7 @@ mod tests {
     #[test]
     fn stats_expose_evictions_and_residency_lock_free() {
         let e = engine();
-        e.track(1, "start", 0);
+        e.track(1, "start", 0).unwrap();
         e.track_and_suggest(2, "start", 1, 0);
         let stats = e.stats();
         assert_eq!(stats.active_sessions, 2);

@@ -52,7 +52,7 @@
 //! );
 //!
 //! // Live traffic: track the user's query, suggest against their session.
-//! engine.track(7, "weather", 1_000);
+//! engine.track(7, "weather", 1_000).unwrap();
 //! assert_eq!(engine.suggest(7, 1, 1_001)[0].query, "weather tomorrow");
 //!
 //! // A retrain finished — publish it. Nobody stops serving.
@@ -71,12 +71,10 @@ pub mod snapshot;
 pub mod surface;
 pub mod swap;
 
-pub use engine::{
-    EngineConfig, EngineStats, InFlightPermit, Overloaded, ServeEngine, SuggestRequest,
-};
+pub use engine::{EngineConfig, EngineStats, InFlightPermit, ServeEngine, SuggestRequest};
 pub use session::{
     ExportBatch, SessionExport, SessionTracker, TrackOutcome, TrackerConfig, DEFAULT_CUTOFF_SECS,
 };
 pub use snapshot::{ModelSnapshot, ModelSpec, Suggestion, TrainingConfig};
-pub use surface::ServeSurface;
+pub use surface::{ServeError, ServeSurface};
 pub use swap::Swap;

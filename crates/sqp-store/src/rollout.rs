@@ -276,19 +276,19 @@ fn roll_step(
             _ => Ok((snapshot, meta)),
         });
     let outcome = match attempt {
-        Ok((snapshot, meta)) => match router.try_publish_to(replica, Arc::new(snapshot)) {
-            Some(generation) => {
+        Ok((snapshot, meta)) => match router.publish_to(replica, Arc::new(snapshot)) {
+            Ok(generation) => {
                 report.meta.get_or_insert(meta);
                 report.upgraded.push(replica);
                 Ok(generation)
             }
-            None => {
+            Err(_) => {
                 report.retired.push(replica);
                 return;
             }
         },
         Err(error) => {
-            if !router.try_mark_quarantined(replica, error.clone()) {
+            if router.mark_quarantined(replica, error.clone()).is_err() {
                 report.retired.push(replica);
                 return;
             }
@@ -382,8 +382,8 @@ mod tests {
         // One Arc serves all replicas.
         for index in 1..r.replica_count() {
             assert!(Arc::ptr_eq(
-                &r.replica(0).snapshot(),
-                &r.replica(index).snapshot()
+                &r.replica(0).unwrap().snapshot(),
+                &r.replica(index).unwrap().snapshot()
             ));
         }
         std::fs::remove_dir_all(&dir).unwrap();

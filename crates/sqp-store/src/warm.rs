@@ -132,7 +132,7 @@ mod tests {
         let second = saved(&dir, "gen1.sqps", "new", 1);
 
         let engine = ServeEngine::from_path(&first, EngineConfig::default()).unwrap();
-        engine.track(7, "start", 100);
+        engine.track(7, "start", 100).unwrap();
         assert_eq!(engine.suggest(7, 1, 110)[0].query, "old::next");
 
         let published = engine.publish_from_path(&second).unwrap();

@@ -30,7 +30,9 @@ pub mod prelude {
         RemoteOutcome, ServeAnswer, ServerConfig,
     };
     pub use sqp_router::{HandoffReport, MembershipError, RouterConfig, RouterEngine, RouterStats};
-    pub use sqp_serve::{EngineConfig, ModelSnapshot, ServeEngine, ServeSurface, SuggestRequest};
+    pub use sqp_serve::{
+        EngineConfig, ModelSnapshot, ServeEngine, ServeError, ServeSurface, SuggestRequest,
+    };
     pub use sqp_store::{
         load_snapshot, save_snapshot, RetrainConfig, Retrainer, RollPolicy, RouterPublish,
         SnapshotError, SnapshotMeta, WarmStart,

@@ -317,7 +317,7 @@ mod tests {
         let svc = service(ServiceModel::Adjacency);
         let expected = svc.suggest(&["kidney stones"], 2);
         let engine = svc.into_engine(sqp_serve::EngineConfig::default());
-        engine.track(1, "kidney stones", 100);
+        engine.track(1, "kidney stones", 100).unwrap();
         assert_eq!(engine.suggest(1, 2, 101), expected);
     }
 

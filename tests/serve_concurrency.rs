@@ -14,8 +14,8 @@
 
 use sqp::logsim::RawLogRecord;
 use sqp::serve::{
-    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, SuggestRequest, TrackerConfig,
-    TrainingConfig,
+    EngineConfig, ModelSnapshot, ModelSpec, ServeEngine, ServeSurface, SuggestRequest,
+    TrackerConfig, TrainingConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,7 +81,7 @@ fn suggestions_during_swaps_come_wholly_from_one_snapshot() {
     ));
     // Both tracked sessions and stateless contexts are exercised.
     for user in 0..16 {
-        engine.track(user, "seed", 1_000);
+        engine.track(user, "seed", 1_000).unwrap();
     }
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -167,7 +167,7 @@ fn idle_sessions_are_cut_and_evicted_at_the_thirty_minute_rule() {
     let engine = ServeEngine::new(tagged_snapshot("old"), cfg);
     let t0 = 10_000u64;
     for user in 0..50 {
-        engine.track(user, "seed", t0);
+        engine.track(user, "seed", t0).unwrap();
     }
     assert_eq!(engine.active_sessions(), 50);
     assert!(
@@ -181,7 +181,7 @@ fn idle_sessions_are_cut_and_evicted_at_the_thirty_minute_rule() {
 
     // Users 0..10 stay active past the others' cutoff.
     for user in 0..10 {
-        engine.track(user, "seed", t0 + 30 * 60 + 100);
+        engine.track(user, "seed", t0 + 30 * 60 + 100).unwrap();
     }
     let evicted = engine.evict_idle(t0 + 30 * 60 + 101);
     assert_eq!(evicted, 40);
@@ -189,7 +189,7 @@ fn idle_sessions_are_cut_and_evicted_at_the_thirty_minute_rule() {
 
     // An evicted user's next query starts a fresh session with no stale
     // context bleeding in.
-    let outcome = engine.track(20, "seed", t0 + 30 * 60 + 200);
+    let outcome = engine.track(20, "seed", t0 + 30 * 60 + 200).unwrap();
     assert!(outcome.new_session);
     assert_eq!(outcome.context_len, 1);
 }
@@ -293,7 +293,7 @@ fn tracking_and_eviction_race_cleanly() {
             scope.spawn(move || {
                 for i in 0..2_000u64 {
                     let user = thread * 10_000 + (i % 97);
-                    engine.track(user, "seed", i);
+                    engine.track(user, "seed", i).unwrap();
                     if i % 31 == 0 {
                         engine.evict_idle(i);
                     }
